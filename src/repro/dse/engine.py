@@ -7,10 +7,10 @@ and yields a
 :class:`SweepRecord` per unique config *as it completes*.  Cache hits
 stream out immediately; cold evaluations follow in completion order
 (``imap_unordered`` over a ``multiprocessing`` pool when ``workers >
-1``), each appended to the store the moment it lands so an interrupted
-run keeps its partial results.  Callers can render partial Pareto
-frontiers or pipe records downstream without waiting for the sweep to
-finish.
+1``), each evaluated chunk committed to the store in one write before
+its records stream out, so an interrupted run keeps every completed
+chunk.  Callers can render partial Pareto frontiers or pipe records
+downstream without waiting for the sweep to finish.
 
 ``run_sweep`` is the batch API, reimplemented on top of the stream: it
 drains the generator and returns records in point order plus per-tier
@@ -128,6 +128,37 @@ def _lowered_chunks(
     return chunks
 
 
+def _evaluate_pending(
+    points: list[SweepPoint], workers: int, chunk_size: int, vectorize: bool
+) -> Iterator[list[dict]]:
+    """Evaluate cold points, yielding each unit of work's records.
+
+    Vectorized units are lowered-workload chunks; scalar units are
+    single points.  With ``workers > 1`` units arrive in completion
+    order from a pool, which closing this generator tears down
+    (terminate), so a cancelled sweep does not burn the remaining work.
+    """
+    if vectorize:
+        chunks = _lowered_chunks(points, chunk_size)
+        if workers > 1 and len(chunks) > 1:
+            with _pool_context().Pool(workers) as pool:
+                yield from pool.imap_unordered(evaluate_points, chunks)
+        else:
+            for chunk in chunks:
+                chunk_started = time.monotonic()
+                records = evaluate_points(chunk)
+                _EVAL_CHUNK_SECONDS.observe(time.monotonic() - chunk_started)
+                yield records
+    elif workers > 1 and len(points) > 1:
+        chunk = max(1, min(chunk_size, math.ceil(len(points) / workers)))
+        with _pool_context().Pool(workers) as pool:
+            for record in pool.imap_unordered(evaluate_point, points, chunksize=chunk):
+                yield [record]
+    else:
+        for point in points:
+            yield [evaluate_point(point)]
+
+
 def iter_sweep(
     sweep: SweepSpec | Iterable[SweepPoint],
     store: ResultStoreBase | str | os.PathLike | None = None,
@@ -141,9 +172,12 @@ def iter_sweep(
     Memo and store hits yield first (they are already complete); cold
     evaluations follow as the serial loop or the worker pool finishes
     them.  Fresh records -- and memo hits the store has not seen -- are
-    appended to the store as they are yielded, so a consumer that stops
-    early (or crashes) leaves a store warm up to that point.  An empty
-    sweep, e.g. an empty shard of a fine partition, yields nothing.
+    persisted before they are yielded: each evaluated chunk (at most
+    ``chunk_size`` lowered-workload points) in one store write, each
+    memo hit on its own.  A consumer that stops early therefore leaves
+    a store warm up to that point, and a crash loses at most the chunk
+    being written, which the next run re-evaluates.  An empty sweep,
+    e.g. an empty shard of a fine partition, yields nothing.
 
     With ``vectorize`` (the default) cold points are evaluated in
     lowered-workload chunks through the numpy evaluator -- workers
@@ -151,11 +185,12 @@ def iter_sweep(
     is the scalar escape hatch; records are bit-identical either way.
 
     ``should_cancel`` is polled at record boundaries -- after a record
-    is appended and yielded, before the next one is touched.  When it
-    turns true the generator returns early: every record already
-    yielded is fully persisted, nothing half-written follows, and a
-    worker pool mid-chunk is torn down on exit.  The sweep-service job
-    queue uses this for cooperative ``POST /jobs/{id}/cancel``.
+    is yielded, before the next one is touched.  When it turns true the
+    generator returns early: every record already yielded is fully
+    persisted, the rest of the current chunk may be persisted without
+    being yielded, nothing half-written follows, and a worker pool
+    mid-chunk is torn down on exit.  The sweep-service job queue uses
+    this for cooperative ``POST /jobs/{id}/cancel``.
     """
     points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
     if workers < 1:
@@ -176,8 +211,8 @@ def iter_sweep(
         stored = store.records_for(unique, version=EVAL_VERSION)
 
     # One held-open append handle for the whole stream: each completed
-    # record is flushed to disk without a file open (or, on gzipped
-    # stores, a fresh gzip member) per record.
+    # chunk is committed without a file open (or, on gzipped stores, a
+    # fresh gzip member) per chunk.
     sink = store.appender() if store is not None else contextlib.nullcontext()
     tiers = {"memo": 0, "store": 0, "evaluated": 0}
     try:
@@ -193,7 +228,7 @@ def iter_sweep(
                 seen.add(key)
                 if key in _MEMO:
                     if persist is not None and key not in stored:
-                        persist(_MEMO[key])
+                        persist([_MEMO[key]])
                     tiers["memo"] += 1
                     yield SweepRecord(index, point, _MEMO[key], "memo")
                 elif key in stored:
@@ -211,62 +246,22 @@ def iter_sweep(
             by_hash = {
                 point.config_hash(): (index, point) for index, point in pending
             }
-
-            def _emit(record: dict) -> SweepRecord:
-                _MEMO[record["hash"]] = record
-                if persist is not None:
-                    persist(record)
-                index, point = by_hash[record["hash"]]
-                tiers["evaluated"] += 1
-                return SweepRecord(index, point, record, "evaluated")
-
             pending_points = [point for _, point in pending]
-            if vectorize:
-                chunks = _lowered_chunks(pending_points, chunk_size)
-                if workers > 1 and len(chunks) > 1:
-                    # An early return inside the `with` tears the pool
-                    # down (terminate), so a cancelled sweep does not
-                    # burn the remaining chunks.
-                    with _pool_context().Pool(workers) as pool:
-                        for records in pool.imap_unordered(
-                            evaluate_points, chunks
-                        ):
-                            for record in records:
-                                yield _emit(record)
-                                if cancelled():
-                                    return
-                else:
-                    for chunk in chunks:
+            with contextlib.closing(
+                _evaluate_pending(pending_points, workers, chunk_size, vectorize)
+            ) as batches:
+                for records in batches:
+                    # One store commit per evaluated chunk, before any
+                    # of its records is yielded.
+                    if persist is not None:
+                        persist(records)
+                    for record in records:
+                        _MEMO[record["hash"]] = record
+                        index, point = by_hash[record["hash"]]
+                        tiers["evaluated"] += 1
+                        yield SweepRecord(index, point, record, "evaluated")
                         if cancelled():
                             return
-                        chunk_started = time.monotonic()
-                        records = evaluate_points(chunk)
-                        _EVAL_CHUNK_SECONDS.observe(
-                            time.monotonic() - chunk_started
-                        )
-                        for record in records:
-                            yield _emit(record)
-                            if cancelled():
-                                return
-            elif workers > 1 and len(pending) > 1:
-                chunk = max(
-                    1, min(chunk_size, math.ceil(len(pending) / workers))
-                )
-                with _pool_context().Pool(workers) as pool:
-                    results = pool.imap_unordered(
-                        evaluate_point,
-                        pending_points,
-                        chunksize=chunk,
-                    )
-                    for record in results:
-                        yield _emit(record)
-                        if cancelled():
-                            return
-            else:
-                for point in pending_points:
-                    if cancelled():
-                        return
-                    yield _emit(evaluate_point(point))
     finally:
         # One registry touch per tier per sweep (never per record);
         # fires on normal exhaustion, cancellation, errors, and early

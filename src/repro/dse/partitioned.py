@@ -469,36 +469,39 @@ class PartitionedStore(ResultStoreBase):
         return len(to_write), lines + len(to_write), len(current)
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
+    def appender(self) -> Iterator[Callable[[Iterable[dict]], None]]:
         """Streaming writes, one held-open handle per touched part.
 
-        Flush-per-record like the JSONL appender (each part's appender
-        does the flushing).  No stale resolution on this path -- that
-        would cost a part parse per record -- so the manifest's
-        ``live`` counts are bumped optimistically and corrected by the
-        next bulk append or compaction of each part.  Nothing is
-        created until something is written.
+        Each batch is routed record by record to its part, and every
+        touched part's appender writes and flushes its share once.  No
+        stale resolution on this path -- that would cost a part parse
+        per batch -- so the manifest's ``live`` counts are bumped
+        optimistically and corrected by the next bulk append or
+        compaction of each part.  Nothing is created until something
+        is written.
         """
         writes: dict[int, int] = {}
         state: dict[str, int] = {}
         try:
             with ExitStack() as stack:
-                writers: dict[int, Callable[[dict], None]] = {}
+                writers: dict[int, Callable[[Iterable[dict]], None]] = {}
 
-                def write(record: dict) -> None:
-                    if not _keyed(record, self.path):
-                        return
-                    if "parts" not in state:
-                        state["parts"] = self._ensure_manifest()["parts"]
-                    index = part_index(record["hash"], state["parts"])
-                    writer = writers.get(index)
-                    if writer is None:
-                        writer = stack.enter_context(
-                            self._part(index).appender()
-                        )
-                        writers[index] = writer
-                    writer(record)
-                    writes[index] = writes.get(index, 0) + 1
+                def write(records: Iterable[dict]) -> None:
+                    grouped: dict[int, list[dict]] = {}
+                    for record in records:
+                        if not _keyed(record, self.path):
+                            continue
+                        if "parts" not in state:
+                            state["parts"] = self._ensure_manifest()["parts"]
+                        index = part_index(record["hash"], state["parts"])
+                        grouped.setdefault(index, []).append(record)
+                    for index, group in grouped.items():
+                        writer = writers.get(index)
+                        if writer is None:
+                            writer = stack.enter_context(self._part(index).appender())
+                            writers[index] = writer
+                        writer(group)
+                        writes[index] = writes.get(index, 0) + len(group)
 
                 yield write
         finally:

@@ -12,11 +12,12 @@ store.
 
 Durability comes from SQLite's transactional writes: there is no torn
 tail to tolerate, every committed record survives a crash whole.  The
-streaming :meth:`appender` commits per record for parity with the JSONL
-flush-per-record behaviour, while bulk :meth:`append` batches one
-transaction.  Stores are plain single files, safe to copy or merge
-across machines like their JSONL siblings; ``gzip`` conversion is a
-JSONL-only concept and is rejected explicitly.
+streaming :meth:`appender` commits one transaction per batch -- the
+engine hands it one evaluated chunk at a time, so a crash loses at most
+that chunk and never a part of it -- while bulk :meth:`append` commits
+in bounded transactions.  Stores are plain single files, safe to copy or
+merge across machines like their JSONL siblings; ``gzip`` conversion is
+a JSONL-only concept and is rejected explicitly.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def _row(record: dict, path=None) -> tuple[str, int, str] | None:
             )
         return None  # keyless records are unloadable in any backend
     return (key, record.get("version", 0), json.dumps(record, sort_keys=True))
+
+
+def _rows(records: Iterable[dict], path) -> list[tuple[str, int, str]]:
+    """The upsert rows for a batch, keyless records dropped with a warning."""
+    return [row for row in (_row(record, path) for record in records) if row]
 
 
 class SQLiteStore(ResultStoreBase):
@@ -197,11 +203,7 @@ class SQLiteStore(ResultStoreBase):
         offered, so a stale-version upload the conditional upsert drops
         reports 0, the same as the JSONL backend.
         """
-        rows = [
-            row
-            for row in (_row(record, self.path) for record in records)
-            if row is not None
-        ]
+        rows = _rows(records, self.path)
         changed = 0
         with self._guard(), closing(self._connect()) as db:
             for start in range(0, len(rows), APPEND_BATCH_ROWS):
@@ -214,27 +216,29 @@ class SQLiteStore(ResultStoreBase):
         return changed
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
-        """One held-open connection, one committed transaction per record.
+    def appender(self) -> Iterator[Callable[[Iterable[dict]], None]]:
+        """One held-open connection, one committed transaction per batch.
 
-        Commit-per-record mirrors the JSONL flush-per-record contract:
-        every completed record is durable before the next evaluation
-        starts, so an interrupted run keeps its partials.  The database
-        file is only created once something is written.
+        The yielded callable upserts a batch with one ``executemany``
+        and commits it before returning; a failure rolls the whole
+        batch back, so the store never holds part of one.  The engine
+        persists each evaluated chunk this way before yielding any of
+        its records.  The database file is only created once something
+        is written.
         """
         db: sqlite3.Connection | None = None
         try:
 
-            def write(record: dict) -> None:
+            def write(records: Iterable[dict]) -> None:
                 nonlocal db
-                row = _row(record, self.path)
-                if row is None:
+                rows = _rows(records, self.path)
+                if not rows:
                     return
                 with self._guard():
                     if db is None:
                         db = self._connect()
                     with db:
-                        db.execute(_UPSERT, row)
+                        db.executemany(_UPSERT, rows)
 
             yield write
         finally:

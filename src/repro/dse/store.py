@@ -119,6 +119,15 @@ class ResultStoreBase:
         raise NotImplementedError
 
     def appender(self) -> "contextmanager":
+        """A context manager yielding a batch writer for streaming writes.
+
+        The yielded callable takes an iterable of records and makes the
+        whole batch durable in one step -- one transaction, or one
+        flush -- before it returns.  The engine hands it one evaluated
+        chunk at a time, so a crash loses at most the chunk being
+        written.  Keyless records are skipped with a
+        :class:`StoreWarning`; there is no stale check on this path.
+        """
         raise NotImplementedError
 
     def iter_lines(self) -> Iterator[dict]:
@@ -415,30 +424,37 @@ class ResultStore(ResultStoreBase):
         return written
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
+    def appender(self) -> Iterator[Callable[[Iterable[dict]], None]]:
         """One held-open append handle for streaming writers.
 
-        The yielded callable writes and flushes one record, so every
-        completed record is on disk for crash recovery (gzip flushes
-        with a sync point) without paying a file open per record -- and
-        a gzipped store gains one member per run, not one per record.
-        The file is only created once something is written.  Keyless
-        records are skipped with a :class:`StoreWarning`; unlike bulk
-        :meth:`append` there is no stale check -- resolving each write
-        against the store would cost a full parse per record, and the
-        engine only streams freshly evaluated records.
+        The yielded callable writes a batch of records and flushes
+        once, so every completed batch is on disk for crash recovery
+        (gzip flushes with a sync point) without paying a file open
+        per batch -- and a gzipped store gains one member per run, not
+        one per batch.  A crash mid-batch can leave a torn final line,
+        which loads skip.  The file is only created once something is
+        written.  Keyless records are skipped with a
+        :class:`StoreWarning`; unlike bulk :meth:`append` there is no
+        stale check -- resolving each batch against the store would
+        cost a full parse, and the engine only streams freshly
+        evaluated records.
         """
         handle: IO[str] | None = None
         try:
 
-            def write(record: dict) -> None:
+            def write(records: Iterable[dict]) -> None:
                 nonlocal handle
-                if not _keyed(record, self.path):
+                lines = [
+                    json.dumps(record, sort_keys=True) + "\n"
+                    for record in records
+                    if _keyed(record, self.path)
+                ]
+                if not lines:
                     return
                 if handle is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     handle = self._open_append()
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write("".join(lines))
                 handle.flush()
 
             yield write

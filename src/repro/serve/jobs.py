@@ -22,7 +22,8 @@ Concurrent jobs must not interleave half-written records into the
 shared store.  SQLite stores are safe to write directly -- the
 conditional upsert resolves conflicts row-by-row and SQLite serializes
 writers itself -- but JSONL appends from two threads can tear lines,
-so JSONL-backed jobs write into a private *staging* store
+and ingest compaction rewrites part files under a held-open appender,
+so jobs on every other backend write into a private *staging* store
 (:class:`StagedWrites`) that is merged into the shared store exactly
 once, when the job leaves the running state (done, failed, or
 cancelled alike: completed records are kept, like a crashed local run
@@ -363,9 +364,9 @@ class StagedWrites(ResultStoreBase):
     """A store view that reads shared state but stages its appends.
 
     Handed to :func:`~repro.dse.engine.iter_sweep` in place of a
-    JSONL-backed shared store: warm lookups (``records_for``) resolve
+    non-SQLite shared store: warm lookups (``records_for``) resolve
     against the shared store so cache hits still hit, while the
-    streaming appender lands every completed record in a private
+    streaming appender passes every batch unchanged to a private
     per-job staging store.  The job runner merges the staging file into
     the shared store -- under the service's store lock, through the
     normal version-aware resolution -- exactly once, after the job

@@ -278,7 +278,7 @@ class SweepService:
         # appends tear lines and a merge rewrites the file wholesale --
         # and holding SQLite to the same rule keeps one invariant.
         # Sweep jobs never take it: SQLite jobs go through the upsert,
-        # JSONL jobs write to private staging stores.
+        # every other backend's jobs write to private staging stores.
         self._store_lock = threading.Lock()
         # Bounded LRU for records/pages (``record_cache`` entries; 0 or
         # None disables), synced against the store's change token.
@@ -899,14 +899,17 @@ class SweepService:
         """Execute one sweep job on a pool worker thread.
 
         SQLite-backed jobs write straight to the shared store (the
-        conditional upsert makes concurrent appenders safe); JSONL jobs
-        stage privately and merge under the store lock when they stop,
-        whatever the reason -- completed records are always kept, the
-        way an interrupted local run keeps its partials.
+        conditional upsert makes concurrent appenders safe).  Jobs on
+        any other backend stage privately and merge under the store
+        lock when they stop, whatever the reason -- completed records
+        are always kept, the way an interrupted local run keeps its
+        partials.  A held-open appender would race ingest: concurrent
+        JSONL appends tear lines, and a partitioned ingest rewrites the
+        parts it compacts under the appender's open handles.
         """
         staging: ResultStore | None = None
         store: ResultStoreBase | None = self.store
-        if store is not None and store.backend == "jsonl":
+        if store is not None and store.backend != "sqlite":
             staging = self._staging_store(job)
             store = StagedWrites(store, staging)
         error: str | None = None

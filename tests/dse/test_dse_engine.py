@@ -14,7 +14,8 @@ from repro.dse import (
     iter_sweep,
     run_sweep,
 )
-from repro.hw import BPVEC, DDR4, HBM2
+from repro.dse.sqlite_store import SQLiteStore
+from repro.hw import BPVEC, DDR4, HBM2, scaled_memory
 
 
 @pytest.fixture(autouse=True)
@@ -412,3 +413,73 @@ class TestShouldCancel:
             for sr in iter_sweep(points, should_cancel=lambda: False)
         ]
         assert hooked == plain
+
+
+
+class TestGroupCommit:
+    """The durability boundary is the evaluated chunk, not the record."""
+
+    # 6 workloads x 3 platforms x 4 memories x 2 policies x 7 batches:
+    # 84 lowered-workload chunks of 12 points each.
+    SPEC = SweepSpec.grid(
+        workloads=("AlexNet", "Inception-v1", "ResNet-18", "ResNet-50", "RNN", "LSTM"),
+        platforms=("tpu", "bitfusion", "bpvec"),
+        memories=(DDR4, HBM2, scaled_memory(DDR4, 64), scaled_memory(HBM2, 512)),
+        policies=("homogeneous-8bit", "paper-heterogeneous"),
+        batches=(1, 2, 4, 8, 16, 32, 64),
+    )
+    CHUNKS = 84
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sqlite_commits_one_transaction_per_chunk(
+        self, tmp_path, monkeypatch, workers
+    ):
+        assert len(self.SPEC) == 1008
+        plain = run_sweep(self.SPEC)
+        clear_memo()
+        statements = []
+        connect = SQLiteStore._connect
+
+        def traced(store):
+            db = connect(store)
+            db.set_trace_callback(statements.append)
+            return db
+
+        monkeypatch.setattr(SQLiteStore, "_connect", traced)
+        store = SQLiteStore(tmp_path / "s.sqlite")
+        stored = run_sweep(self.SPEC, store=store, workers=workers)
+        commits = [sql for sql in statements if sql.strip().upper() == "COMMIT"]
+        assert len(commits) == self.CHUNKS
+        # Bit-identical to the storeless run, streamed and stored.
+        assert stored.records == plain.records
+        assert store.load() == {r["hash"]: r for r in plain.records}
+
+    def test_jsonl_flushes_once_per_chunk(self, tmp_path, monkeypatch):
+        plain = run_sweep(self.SPEC)
+        clear_memo()
+        flushes = []
+        open_append = ResultStore._open_append
+
+        def counted(store):
+            handle = open_append(store)
+            flush = handle.flush
+            handle.flush = lambda: (flushes.append(1), flush())
+            return handle
+
+        monkeypatch.setattr(ResultStore, "_open_append", counted)
+        store = ResultStore(tmp_path / "s.jsonl")
+        stored = run_sweep(self.SPEC, store=store)
+        assert len(flushes) == self.CHUNKS + 1  # close() flushes too
+        assert stored.records == plain.records
+        assert store.load() == {r["hash"]: r for r in plain.records}
+
+    def test_whole_chunk_is_durable_before_its_first_record(self, tmp_path):
+        store = SQLiteStore(tmp_path / "s.sqlite")
+        points = [
+            SweepPoint(workload="LSTM", platform=BPVEC, memory=memory)
+            for memory in (DDR4, HBM2, scaled_memory(DDR4, 64))
+        ]
+        stream = iter_sweep(points, store=store)
+        assert next(stream).source == "evaluated"
+        assert len(store) == len(points)  # one chunk, committed whole
+        stream.close()

@@ -151,11 +151,12 @@ class TestStoreSemantics:
     def test_appender_streams_incrementally(self, make_store):
         store = make_store()
         with store.appender() as persist:
-            persist(_record("a"))
+            persist([_record("a")])
             # Flushed mid-stream: a concurrent reader already sees it.
             assert set(open_store(store.path).load()) == {"a"}
-            persist(_record("b"))
-        assert set(store.load()) == {"a", "b"}
+            persist([_record("b"), _record("c")])
+            assert set(open_store(store.path).load()) == {"a", "b", "c"}
+        assert set(store.load()) == {"a", "b", "c"}
 
     def test_appender_without_writes_creates_no_file(self, make_store):
         store = make_store()
@@ -186,9 +187,9 @@ class TestStoreSemantics:
     def test_keyless_appender_skips_and_warns(self, make_store):
         store = make_store()
         with store.appender() as persist:
-            persist(_record("a"))
+            persist([_record("a")])
             with pytest.warns(StoreWarning, match="keyless"):
-                persist({"no_hash": True})
+                persist([{"no_hash": True}])
         assert set(store.load()) == {"a"}
         assert sum(1 for _ in store.iter_lines()) == 1
 
@@ -473,8 +474,10 @@ class TestJsonlSpecific:
         store.compact(gzip=True)
         base_members = store.path.read_bytes().count(b"\x1f\x8b\x08")
         with store.appender() as persist:
-            for i in range(20):
-                persist(_record(f"k{i}", version=EVAL_VERSION))
+            for i in range(0, 20, 5):
+                persist(
+                    [_record(f"k{j}", version=EVAL_VERSION) for j in range(i, i + 5)]
+                )
         members = store.path.read_bytes().count(b"\x1f\x8b\x08")
         assert members == base_members + 1  # one member for the whole run
         assert len(store.load()) == 21
@@ -656,8 +659,7 @@ class TestPartitionedSpecific:
     def test_streamed_appends_estimate_then_recount(self, tmp_path):
         store = self._store(tmp_path, parts=1, compact_threshold=None)
         with store.appender() as persist:
-            persist(_record("a", 1.0))
-            persist(_record("a", 2.0))  # no resolution on this path
+            persist([_record("a", 1.0), _record("a", 2.0)])  # no resolution
         manifest = json.loads((store.path / "manifest.json").read_text())
         assert manifest["counts"][0] == {"lines": 2, "live": 2}  # estimate
         store.compact_stale_parts(threshold=0.0)  # estimate says clean...

@@ -7,7 +7,9 @@ exactly where it left off via ``?after=N``; a stalled client frees its
 handler thread after ``--client-timeout``.
 """
 
+import hashlib
 import socket
+import sqlite3
 import threading
 import time
 import urllib.request
@@ -17,7 +19,9 @@ import pytest
 import repro.dse.engine as engine_module
 import repro.serve.server as server_module
 from repro.cli import main
-from repro.dse import clear_memo
+from repro.dse import EVAL_VERSION, clear_memo
+from repro.dse.partitioned import PartitionedStore
+from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import (
     Job,
     JobManager,
@@ -32,6 +36,15 @@ GRID = {
         "workloads": ["RNN", "LSTM"],
         "platforms": ["bpvec"],
         "memories": ["ddr4"],
+    }
+}
+
+#: Two lowered-workload chunks of four points each.
+TWO_CHUNKS = {
+    "grid": {
+        "workloads": ["RNN", "LSTM"],
+        "platforms": ["bpvec", "tpu"],
+        "memories": ["ddr4", "hbm2"],
     }
 }
 
@@ -294,6 +307,114 @@ class TestConcurrencyContract:
         finally:
             release.set()
         assert live_server.service.job(job["job"]).wait(10)
+
+
+class _FailSecondBatch:
+    """A store connection whose second ``executemany`` dies half-way."""
+
+    def __init__(self, db: sqlite3.Connection):
+        self._db = db
+        self._batches = 0
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def __enter__(self):
+        return self._db.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._db.__exit__(*exc_info)
+
+    def executemany(self, sql, rows):
+        self._batches += 1
+        rows = list(rows)
+        if self._batches == 2:
+            self._db.executemany(sql, rows[: len(rows) // 2])
+            raise sqlite3.OperationalError("disk I/O error")
+        return self._db.executemany(sql, rows)
+
+
+class TestChunkDurability:
+    """Served jobs persist whole chunks: under ingest, and on failure."""
+
+    def test_partitioned_job_survives_ingest_compaction(self, tmp_path, monkeypatch):
+        # Regression: a partitioned-store job used to write through a
+        # held-open part appender while an ingest compacted (rewrote)
+        # that part, so the job's later writes went to the replaced
+        # file and were lost.
+        real = engine_module.evaluate_points
+        second_chunk, release = threading.Event(), threading.Event()
+        calls = []
+
+        def gated(chunk):
+            calls.append(chunk)
+            if len(calls) == 2:
+                second_chunk.set()
+                release.wait(timeout=30)
+            return real(chunk)
+
+        monkeypatch.setattr(engine_module, "evaluate_points", gated)
+        store = PartitionedStore(tmp_path / "s.parts", parts=1, compact_threshold=0.5)
+        service = SweepService(store=store)
+        try:
+            job = service.submit({"spec": TWO_CHUNKS})
+            assert second_chunk.wait(10)
+            # An upload sending every record three times leaves the one
+            # part over half stale, so the ingest compacts it while the
+            # job is between chunks.
+            uploads = [
+                {
+                    "hash": hashlib.sha256(b"upload-%d" % i).hexdigest(),
+                    "version": EVAL_VERSION,
+                }
+                for i in range(20)
+            ]
+            service.ingest(uploads * 3)
+            assert store.stats()["stale_lines"] == 0  # it did compact
+            release.set()
+            assert job.wait(10)
+            assert job.state == "done" and len(job.records) == 8
+            stored = store.load()
+            for record in job.records:
+                assert stored[record["hash"]] == record
+            assert len(stored) == 8 + len(uploads)
+        finally:
+            release.set()
+            service.close()
+
+    def test_failed_chunk_commit_rolls_back_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.sqlite"
+        connect = SQLiteStore._connect
+        monkeypatch.setattr(
+            SQLiteStore, "_connect", lambda store: _FailSecondBatch(connect(store))
+        )
+        service = SweepService(store=path)
+        try:
+            job = service.submit({"spec": TWO_CHUNKS})
+            assert job.wait(10)
+            assert job.state == "failed"
+            assert "disk I/O error" in job.error
+            lines = list(service.job_record_stream(job))
+            assert lines[-1] == {"error": job.error}
+            monkeypatch.setattr(SQLiteStore, "_connect", connect)
+            # The store holds exactly the first chunk -- what the job
+            # streamed -- and not half of the second.
+            assert len(job.records) == 4
+            assert SQLiteStore(path).load() == {
+                record["hash"]: record for record in job.records
+            }
+            # A fresh process (no memo) re-submitting the spec is
+            # served the committed chunk and evaluates only the rest.
+            clear_memo()
+            retry = service.submit({"spec": TWO_CHUNKS})
+            assert retry.wait(10)
+            assert retry.state == "done"
+            progress = retry.progress()
+            assert progress["store_hits"] == 4
+            assert progress["evaluated"] == 4
+            assert len(SQLiteStore(path).load()) == 8
+        finally:
+            service.close()
 
 
 class TestResumableStreams:
