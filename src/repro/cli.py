@@ -39,7 +39,6 @@ from pathlib import Path
 from .dse import (
     MEMORY_NAMES,
     PLATFORM_NAMES,
-    PartitionedStore,
     SweepResult,
     SweepSpec,
     co_explore,
@@ -163,12 +162,11 @@ def _add_store_arguments(
         "--store",
         default=None,
         required=required,
-        help="result store path (JSONL; SQLite for .sqlite/.db paths; "
-        "a hash-partitioned directory for .parts paths)",
+        help="result store path (JSONL; SQLite for .sqlite/.db paths)",
     )
     parser.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "partitioned"),
+        choices=("jsonl", "sqlite"),
         default=None,
         help="force the store backend instead of sniffing magic "
         "bytes/suffix",
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "partitioned"),
+        choices=("jsonl", "sqlite"),
         default=None,
         help="force the destination backend instead of sniffing",
     )
@@ -397,19 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep records from older EVAL_VERSIONs",
     )
-    compact.add_argument(
-        "--stale-threshold",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="partitioned stores only: rewrite just the parts whose "
-        "stale-line fraction exceeds FRACTION (keeps all record "
-        "versions) instead of a full compaction",
-    )
 
     server = sub.add_parser(
         "serve",
-        help="serve the result store + DSE engine over HTTP (submit "
+        help="serve a SQLite result store + DSE engine over HTTP (submit "
         "sweeps, stream records, query frontiers server-side)",
     )
     _add_store_arguments(server)
@@ -667,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="spawn N pull-based fleet workers against an ephemeral "
         "in-process server instead of a fixed shard plan "
-        "(work-stealing; a dead worker's leases requeue)",
+        "(work-stealing; a dead worker's leases requeue; needs a "
+        "SQLite --store)",
     )
     dse_launch.add_argument(
         "--chunks",
@@ -1090,23 +1080,10 @@ def _run_dse_merge(args) -> None:
 
 
 def _run_dse_compact(args) -> None:
-    store = open_store(args.store)
-    if not store.exists():
-        raise SystemExit(f"dse-compact: no such store: {args.store}")
     try:
-        if args.stale_threshold is not None:
-            if not isinstance(store, PartitionedStore):
-                raise SystemExit(
-                    "dse-compact: --stale-threshold only applies to "
-                    "partitioned stores"
-                )
-            report = store.compact_stale_parts(threshold=args.stale_threshold)
-            print(
-                f"compacted {args.store}: rewrote "
-                f"{report['compacted']}/{report['examined']} parts, dropped "
-                f"{report['dropped']} superseded lines"
-            )
-            return
+        store = open_store(args.store)
+        if not store.exists():
+            raise SystemExit(f"dse-compact: no such store: {args.store}")
         before = store.stats()["size_bytes"]
         kept, dropped = store.compact(
             gzip=True if args.gzip else None, drop_stale=not args.keep_stale

@@ -9,15 +9,13 @@ reusable engine:
   point lists) that canonicalize to stable config hashes;
 * :mod:`~repro.dse.evaluate` -- one-point evaluation producing flat,
   JSON-able records, memoized per process;
-* :mod:`~repro.dse.store` / :mod:`~repro.dse.sqlite_store` /
-  :mod:`~repro.dse.partitioned` -- persistent result stores keyed by
-  config hash (append-only JSONL, SQLite with indexed point lookups
-  for served warm paths, or hash-partitioned JSONL parts behind a
-  manifest for 10^6+ records), picked by
-  :func:`~repro.dse.store.open_store`; repeated sweeps skip finished
-  points, per-shard stores merge into one (``merge``) and long-lived
-  stores stay small (``compact``, optionally gzipped for single-file
-  JSONL, per-part for partitioned);
+* :mod:`~repro.dse.store` / :mod:`~repro.dse.sqlite_store` --
+  persistent result stores keyed by config hash (append-only JSONL for
+  offline runs and interchange, SQLite with indexed point lookups for
+  the served warm path), picked by :func:`~repro.dse.store.open_store`;
+  repeated sweeps skip finished points, per-shard stores merge into one
+  (``merge``) and long-lived stores stay small (``compact``, optionally
+  gzipped for JSONL);
 * :mod:`~repro.dse.engine` -- ``iter_sweep``: memo -> store -> simulate
   resolution streamed in completion order with optional
   multiprocessing fan-out, and ``run_sweep``, the batch API on top;
@@ -85,7 +83,6 @@ from .spec import (
     resolve_workload,
     shard_index,
 )
-from .partitioned import PartitionedStore
 from .sqlite_store import SQLiteStore
 from .store import ResultStore, ResultStoreBase, StoreWarning, open_store
 
@@ -133,7 +130,6 @@ __all__ = [
     "resolve_policy",
     "resolve_workload",
     "shard_index",
-    "PartitionedStore",
     "ResultStore",
     "ResultStoreBase",
     "SQLiteStore",

@@ -6,37 +6,32 @@ earlier record for the same hash when its ``version`` is at least as
 new, so a stale re-append can never shadow a current record.  Two
 backends implement the :class:`ResultStoreBase` interface:
 
-* :class:`ResultStore` -- the append-only JSONL file.  One JSON record
-  per line; appends are crash-safe in the usual JSONL sense (a torn
-  final line is skipped with a warning on load), duplicate hashes
-  resolve at load time, :meth:`~ResultStoreBase.compact` rewrites the
-  file keeping only survivors (optionally gzip-compressed, detected by
-  magic bytes on every operation).
+* :class:`ResultStore` -- the append-only JSONL file, the offline and
+  interchange format.  One JSON record per line; appends are
+  crash-safe in the usual JSONL sense (a torn final line is skipped
+  with a warning on load), duplicate hashes resolve at load time,
+  :meth:`~ResultStoreBase.compact` rewrites the file keeping only
+  survivors (optionally gzip-compressed, detected by magic bytes on
+  every operation).
 * :class:`~repro.dse.sqlite_store.SQLiteStore` -- one row per hash in a
   SQLite table, with the same resolution rule applied at write time by
   a conditional upsert.  Point lookups (:meth:`~ResultStoreBase.
   records_for`) are indexed, so a large warm store resolves a sweep
-  without re-parsing every record the way a JSONL load must.
-
-A third backend, the hash-partitioned
-:class:`~repro.dse.partitioned.PartitionedStore`, spreads records over
-N hash-range JSONL part files under one directory with a JSON manifest,
-so compaction and point lookups touch only the parts involved.
+  without re-parsing every record the way a JSONL load must.  It is
+  the only backend the sweep service writes to.
 
 :func:`open_store` picks the backend from an explicit name, SQLite
-magic bytes in an existing file, a store directory, or the path suffix
-(``.sqlite`` / ``.sqlite3`` / ``.db`` select SQLite, ``.parts``
-partitioned), so every CLI ``--store`` flag and every ``store=``
-argument accepts any backend transparently.  Per-shard stores of any
-backend union into one via :meth:`ResultStoreBase.merge` under the same
-resolution rules (see :meth:`SweepSpec.shard
-<repro.dse.spec.SweepSpec.shard>`).
+magic bytes in an existing file, or the path suffix (``.sqlite`` /
+``.sqlite3`` / ``.db`` select SQLite), so every CLI ``--store`` flag
+and every ``store=`` argument accepts either backend transparently.
+Per-shard stores of either backend union into one via
+:meth:`ResultStoreBase.merge` under the same resolution rules (see
+:meth:`SweepSpec.shard <repro.dse.spec.SweepSpec.shard>`).
 """
 
 from __future__ import annotations
 
 import gzip as gzip_module
-import hashlib
 import json
 import os
 import warnings
@@ -54,13 +49,6 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-_PARTITIONED_SUFFIXES = (".parts",)
-
-#: How much of each end of the file the content fingerprint hashes.
-#: JSONL stores only ever change by appending (tail) or atomic rewrite
-#: (everything shifts), so head+tail+size pins the content without a
-#: full read of a million-record store.
-_FINGERPRINT_BYTES = 64 * 1024
 
 
 class StoreWarning(UserWarning):
@@ -196,8 +184,7 @@ class ResultStoreBase:
         for the next page is the last yielded record's hash; an empty
         yield means the dump is complete.  Backends override this to
         avoid materializing the store: SQLite pages via ``ORDER BY
-        hash LIMIT``, JSONL via a bounded two-pass scan, the
-        partitioned store by walking parts in hash-range order.
+        hash LIMIT``, JSONL via a bounded two-pass scan.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
@@ -213,33 +200,6 @@ class ResultStoreBase:
             count += 1
             if limit is not None and count >= limit:
                 return
-
-    def change_token(self) -> tuple | None:
-        """An opaque value that changes whenever the contents may have.
-
-        The cache-invalidation key for read caches over this store
-        (e.g. the sweep service's ``/stats`` and query caches): equal
-        tokens mean the cached view is still valid, ``None`` means
-        "cannot tell, do not cache".  A bare ``(mtime, size)`` stat key
-        is not enough -- an external same-size upsert inside one coarse
-        mtime tick is invisible to it -- so the JSONL backend hashes
-        the file's head and tail into a content fingerprint, and the
-        SQLite backend overrides this with ``PRAGMA data_version``.
-        """
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        digest = hashlib.sha256()
-        try:
-            with self.path.open("rb") as handle:
-                digest.update(handle.read(_FINGERPRINT_BYTES))
-                if stat.st_size > 2 * _FINGERPRINT_BYTES:
-                    handle.seek(stat.st_size - _FINGERPRINT_BYTES)
-                digest.update(handle.read(_FINGERPRINT_BYTES))
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, digest.hexdigest())
 
     def stats(self) -> dict:
         """Store metadata for health/stats surfaces (no record bodies)."""
@@ -573,24 +533,15 @@ def _source_records(
 
 
 def _sniff_backend(path: Path) -> str:
-    """Pick a backend for a path: directory / file magic, then suffix."""
+    """Pick a backend for a path: file magic, then suffix."""
     try:
-        if path.is_dir():
-            # Stores-as-directories are partitioned; single-file
-            # backends can never be one.
-            return "partitioned"
         if path.exists() and path.stat().st_size > 0:
             with path.open("rb") as handle:
                 head = handle.read(len(_SQLITE_MAGIC))
             return "sqlite" if head == _SQLITE_MAGIC else "jsonl"
     except OSError:
         pass
-    suffix = path.suffix.lower()
-    if suffix in _SQLITE_SUFFIXES:
-        return "sqlite"
-    if suffix in _PARTITIONED_SUFFIXES:
-        return "partitioned"
-    return "jsonl"
+    return "sqlite" if path.suffix.lower() in _SQLITE_SUFFIXES else "jsonl"
 
 
 def open_store(
@@ -598,19 +549,24 @@ def open_store(
 ) -> ResultStoreBase:
     """Open a result store, picking the backend when not forced.
 
-    ``backend`` is ``"jsonl"``, ``"sqlite"``, ``"partitioned"``, or
-    ``None`` to decide from the path itself: an existing directory is a
-    partitioned store, an existing non-empty file goes by its magic
+    ``backend`` is ``"jsonl"``, ``"sqlite"``, or ``None`` to decide
+    from the path itself: an existing non-empty file goes by its magic
     bytes (so a mis-suffixed store still opens correctly), a fresh path
     by its suffix (``.sqlite`` / ``.sqlite3`` / ``.db`` select SQLite,
-    ``.parts`` partitioned, anything else JSONL).  An
-    already-constructed store passes through untouched, so every
-    ``store=`` argument accepts paths and store objects
-    interchangeably.
+    anything else JSONL).  An already-constructed store passes through
+    untouched, so every ``store=`` argument accepts paths and store
+    objects interchangeably.  A directory is rejected: stores are
+    single files.
     """
     if isinstance(path, ResultStoreBase):
         return path
     resolved = Path(path)
+    if resolved.is_dir():
+        raise ValueError(
+            f"{resolved} is a directory; partitioned stores were removed. "
+            "Each part is a plain JSONL store, so convert with "
+            f"`repro dse-merge out.sqlite {resolved}/part-*.jsonl`"
+        )
     if backend is None:
         backend = _sniff_backend(resolved)
     if backend == "sqlite":
@@ -619,11 +575,6 @@ def open_store(
         return SQLiteStore(resolved)
     if backend == "jsonl":
         return ResultStore(resolved)
-    if backend == "partitioned":
-        from .partitioned import PartitionedStore
-
-        return PartitionedStore(resolved)
     raise ValueError(
-        f"unknown store backend {backend!r}; choose 'jsonl', 'sqlite', "
-        "or 'partitioned'"
+        f"unknown store backend {backend!r}; choose 'jsonl' or 'sqlite'"
     )

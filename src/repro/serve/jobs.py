@@ -18,16 +18,12 @@ The state machine is deliberately small::
 ``queued -> cancelled`` is the only shortcut (cancelling a job the
 pool never started).  Terminal states are final.
 
-Concurrent jobs must not interleave half-written records into the
-shared store.  SQLite stores are safe to write directly -- the
-conditional upsert resolves conflicts row-by-row and SQLite serializes
-writers itself -- but JSONL appends from two threads can tear lines,
-and ingest compaction rewrites part files under a held-open appender,
-so jobs on every other backend write into a private *staging* store
-(:class:`StagedWrites`) that is merged into the shared store exactly
-once, when the job leaves the running state (done, failed, or
-cancelled alike: completed records are kept, like a crashed local run
-keeps its partials).
+Concurrent jobs write the shared store directly.  The service only
+runs on SQLite, whose conditional upsert resolves conflicts row by row
+while SQLite serializes the writers, so no job can tear another's
+records.  Each evaluated chunk commits before its records stream, so a
+job that stops -- done, failed, or cancelled alike -- keeps every chunk
+it finished, like a crashed local run keeps its partials.
 
 Not every job runs on the pool.  Externally-driven jobs -- ingests
 completed inline by the handler, and fleet jobs whose chunks are
@@ -47,14 +43,12 @@ import uuid
 from typing import Callable, Iterator
 
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStoreBase
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
 
 __all__ = [
     "Job",
     "JobManager",
-    "StagedWrites",
     "QUEUED",
     "RUNNING",
     "DONE",
@@ -101,7 +95,7 @@ _JOBS_FINISHED = _METRICS.counter(
 _JOB_PHASE_SECONDS = _METRICS.histogram(
     "repro_job_phase_seconds",
     "Time jobs spend in each traced phase "
-    "(validate, queue-wait, evaluate, stage-merge, ingest).",
+    "(validate, queue-wait, evaluate, ingest).",
     ("kind", "phase"),
 )
 
@@ -358,34 +352,6 @@ class IngestJob(Job):
     def progress(self) -> dict:
         with self._changed:
             return {"offered": self.offered, "appended": self.appended}
-
-
-class StagedWrites(ResultStoreBase):
-    """A store view that reads shared state but stages its appends.
-
-    Handed to :func:`~repro.dse.engine.iter_sweep` in place of a
-    non-SQLite shared store: warm lookups (``records_for``) resolve
-    against the shared store so cache hits still hit, while the
-    streaming appender passes every batch unchanged to a private
-    per-job staging store.  The job runner merges the staging file into
-    the shared store -- under the service's store lock, through the
-    normal version-aware resolution -- exactly once, after the job
-    stops running, so concurrent jobs can never interleave (or tear)
-    lines in the shared file.
-    """
-
-    backend = "staged"
-
-    def __init__(self, shared: ResultStoreBase, staging: ResultStoreBase):
-        super().__init__(shared.path)
-        self.shared = shared
-        self.staging = staging
-
-    def records_for(self, hashes, version=None):
-        return self.shared.records_for(hashes, version=version)
-
-    def appender(self):
-        return self.staging.appender()
 
 
 class JobManager:

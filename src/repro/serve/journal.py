@@ -3,9 +3,9 @@
 Everything the service knows about submitted work -- the job table,
 each job's lifecycle state, and the per-chunk lease table of fleet
 jobs -- used to live only in process memory: a server crash or
-redeploy lost queued jobs, stranded running fleet sweeps, and orphaned
-per-job staging files.  This module is the durability layer that makes
-the server restartable at any instant without losing accepted work.
+redeploy lost queued jobs and stranded running fleet sweeps.  This
+module is the durability layer that makes the server restartable at
+any instant without losing accepted work.
 
 :class:`JobJournal` is a SQLite WAL journal (``repro serve --journal
 PATH``, colocated with the server store by default) that records every
@@ -21,14 +21,13 @@ Recovery (:meth:`JobJournal.recover_state` driven by
 startup:
 
 * queued jobs re-enqueue in their original priority-FIFO order;
-* running jobs re-enqueue too -- their fully-appended staging prefix is
-  merged into the store first, so the resumed sweep resolves the
+* running jobs re-enqueue too -- every chunk they committed is already
+  in the SQLite store, so the resumed sweep resolves the
   already-evaluated points through the hash-keyed warm path and only
   evaluates the remainder (recovered work is never recomputed);
 * fleet jobs rebuild their lease tables with completed chunks kept and
   every previously-leased chunk requeued as pending (the holder is
-  gone; workers re-register and steal the chunk back);
-* staging files with no running journal entry are swept as orphans.
+  gone; workers re-register and steal the chunk back).
 
 The journal is an *operational* record, not a result store: records
 live in the result store, the journal only remembers what was accepted
@@ -86,7 +85,7 @@ _SCHEMA = (
     " submitted_at REAL,"
     " started_at REAL,"
     " finished_at REAL,"
-    " merged_records INTEGER NOT NULL DEFAULT 0"  # staged-merge watermark
+    " merged_records INTEGER NOT NULL DEFAULT 0"  # unused, see record_merged
     ")",
     "CREATE TABLE IF NOT EXISTS leases ("
     " job TEXT NOT NULL,"
@@ -279,7 +278,12 @@ class JobJournal:
         )
 
     def record_merged(self, job_id: str, records: int) -> None:
-        """Advance a job's records-merged watermark (staged merges)."""
+        """Advance a job's records-merged watermark.
+
+        Unused since the service stopped staging jobs into private
+        stores; kept, with its column, because ``e2e_bench/tracing.py``
+        patches this method by name.
+        """
         self._write(
             [
                 (

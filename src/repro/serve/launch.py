@@ -341,10 +341,11 @@ def launch_fleet(
 
     The pull-based counterpart to :func:`launch`: instead of a fixed
     shard plan, an ephemeral in-process sweep server over ``store``
-    takes the spec as a fleet job split into ``chunks`` hash-range
-    chunks (default ``4 * workers``, so work-stealing has slack), and
-    ``workers`` local ``repro worker`` processes lease, evaluate,
-    ingest, and ack until the job drains.  A worker that dies
+    (SQLite, like every served store; any other backend raises
+    ``ValueError``) takes the spec as a fleet job split into ``chunks``
+    hash-range chunks (default ``4 * workers``, so work-stealing has
+    slack), and ``workers`` local ``repro worker`` processes lease,
+    evaluate, ingest, and ack until the job drains.  A worker that dies
     mid-chunk costs one lease TTL -- survivors steal the requeued
     chunk.  Raises ``RuntimeError`` if the job fails, times out, or
     every worker exits while chunks remain.

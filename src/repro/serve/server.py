@@ -1,9 +1,9 @@
 """The sweep service: a stdlib-only HTTP server over the DSE engine.
 
-One long-lived process owns a result store and the warm in-process
-memo; many clients submit sweeps, stream records, and run server-side
-reductions against the shared cache instead of each re-evaluating (or
-re-loading) the design space.  The protocol is deliberately plain --
+One long-lived process owns a SQLite result store (or none) and the
+warm in-process memo; many clients submit sweeps, stream records, and
+run server-side reductions against the shared cache instead of each
+re-evaluating (or re-loading) the design space.  The protocol is deliberately plain --
 JSON requests, JSON or NDJSON responses, ``http.server`` underneath --
 so any HTTP client works; :class:`repro.serve.client.ServeClient` is
 the thin reference client.
@@ -86,8 +86,8 @@ Endpoints
 Crash safety: with a journal (``--journal``, on by default next to the
 store), every job/lease transition is durable and a restarted server
 replays it -- queued jobs re-enqueue in order, running jobs resume via
-their merged staging prefix and the store warm path, fleet lease
-tables rebuild with in-flight chunks requeued (see
+the store warm path over the chunks they already committed, fleet
+lease tables rebuild with in-flight chunks requeued (see
 :mod:`repro.serve.journal`).  ``--max-queue-depth`` sheds load with
 429 + ``Retry-After``; ``--job-retention``/``--job-ttl`` bound the job
 table on long-lived servers.
@@ -101,7 +101,6 @@ import re
 import signal
 import threading
 import time
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -110,7 +109,8 @@ from ..dse.engine import iter_sweep
 from ..dse.evaluate import _MEMO, EVAL_VERSION
 from ..dse.queries import pareto_frontier, run_query
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStore, ResultStoreBase, StoreWarning, open_store
+from ..dse.sqlite_store import SQLiteStore
+from ..dse.store import ResultStoreBase, open_store
 from ..obs.logs import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
@@ -133,7 +133,6 @@ from .jobs import (
     IngestJob,
     Job,
     JobManager,
-    StagedWrites,
 )
 from .journal import JobJournal, default_journal_path
 from .serializers import dumps, records_payload, summary_payload
@@ -246,6 +245,11 @@ class SweepService:
     frontends) can drive it directly.  Sweeps are jobs on a bounded
     worker pool -- ``job_workers`` of them run concurrently while every
     read endpoint stays lock-free under the threading server.
+
+    The store must be SQLite (or absent): its conditional upsert lets
+    concurrent jobs, ingests, and fleet uploads write the shared store
+    directly.  Any other backend raises ``ValueError`` with the
+    ``repro dse-merge`` command that converts it.
     """
 
     def __init__(
@@ -263,6 +267,12 @@ class SweepService:
         record_cache: int | None = DEFAULT_RECORD_CACHE,
     ):
         self.store = open_store(store) if store is not None else None
+        if self.store is not None and not isinstance(self.store, SQLiteStore):
+            raise ValueError(
+                f"the sweep service needs a SQLite store, but {self.store.path} "
+                f"is a {self.store.backend} store; convert it with "
+                f"`repro dse-merge new.sqlite {self.store.path}`"
+            )
         self.workers = workers
         self.vectorize = vectorize
         self.sweeps_served = 0
@@ -273,12 +283,9 @@ class SweepService:
         self.job_ttl = job_ttl
         self.jobs = JobManager(self._run_sweep_job, pool_size=job_workers)
         self.fleet = Fleet(lease_ttl=lease_ttl, heartbeat_ttl=heartbeat_ttl)
-        # Serializes every *direct* write to the shared store (ingest
-        # appends, staged-job merges).  JSONL needs it -- interleaved
-        # appends tear lines and a merge rewrites the file wholesale --
-        # and holding SQLite to the same rule keeps one invariant.
-        # Sweep jobs never take it: SQLite jobs go through the upsert,
-        # every other backend's jobs write to private staging stores.
+        # Serializes ingest appends to the shared store.  Sweep jobs
+        # never take it: they stream chunks through the upsert, which
+        # SQLite serializes against ingest itself.
         self._store_lock = threading.Lock()
         # Bounded LRU for records/pages (``record_cache`` entries; 0 or
         # None disables), synced against the store's change token.
@@ -380,12 +387,11 @@ class SweepService:
         Runs once, from ``__init__``, before the server accepts a
         single request.  Queued jobs re-enqueue in their original
         priority-FIFO order (the journal's ``seq`` is submission order
-        and rows come back pre-sorted); running jobs merge their staged
-        prefix first and then re-enqueue -- the store warm path
-        resolves every already-evaluated hash, so recovered work is
-        never recomputed; fleet jobs rebuild their lease tables with
-        previously-leased chunks requeued; staging files without a
-        running owner are swept as orphans.
+        and rows come back pre-sorted); running jobs re-enqueue too --
+        every chunk they committed is already in the store, and the
+        warm path resolves those hashes, so recovered work is never
+        recomputed; fleet jobs rebuild their lease tables with
+        previously-leased chunks requeued.
         """
         journal = self.journal
         marker = journal.consume_clean_shutdown()
@@ -400,17 +406,7 @@ class SweepService:
             "recovered_terminal": 0,
             "requeued_chunks": 0,
             "cancelled_on_recovery": 0,
-            "staging_merged": 0,
-            "staging_merged_records": 0,
-            "staging_orphans_deleted": 0,
         }
-        running_sweeps = {
-            row["id"]
-            for row in rows
-            if row["kind"] == "sweep" and row["state"] == RUNNING
-        }
-        if self.store is not None:
-            self._sweep_staging(running_sweeps, info)
         for row in rows:  # already in (priority, seq) replay order
             if row["kind"] == "fleet":
                 self._recover_fleet_job(row, info)
@@ -418,41 +414,6 @@ class SweepService:
                 self._recover_pool_job(row, info)
         journal.set_recovery_info(info)
         return info
-
-    def _sweep_staging(self, running_sweeps: set, info: dict) -> None:
-        """Merge-or-delete per-job staging files a dead server left.
-
-        A staging file whose owner the journal last saw *running* holds
-        that job's fully-appended record prefix -- merge it, so the
-        warm path skips those points when the job resumes.  Any other
-        staging file is an orphan: its owner is terminal (already
-        merged), unknown to the journal, or never journaled; deleting
-        is the only safe move, and it warns so operators see that data
-        was discarded.
-        """
-        store = self.store
-        prefix = f"{store.path.name}.job-"
-        for path in sorted(store.path.parent.glob(f"{prefix}*.staging")):
-            job_id = path.name[len(prefix) : -len(".staging")]
-            if job_id in running_sweeps:
-                staging = ResultStore(path)
-                records = len(staging.load())
-                with self._store_lock:
-                    store.merge([staging])
-                self.journal.record_merged(job_id, records)
-                info["staging_merged"] += 1
-                info["staging_merged_records"] += records
-            else:
-                warnings.warn(
-                    f"deleting orphaned staging file {path}: no running "
-                    "job in the journal owns it",
-                    StoreWarning,
-                    stacklevel=2,
-                )
-                info["staging_orphans_deleted"] += 1
-            path.unlink(missing_ok=True)
-        if info["staging_merged"]:
-            self._invalidate_caches()
 
     def _recover_pool_job(self, row: dict, info: dict) -> None:
         if not row["spec"]:
@@ -533,24 +494,13 @@ class SweepService:
             self.record_cache.clear()
         self._stats_cache = None
 
-    def _store_token(self) -> tuple | None:
-        """The store's change token -- the cache-invalidation key.
-
-        ``None`` (no store file yet, or the token read failed) disables
-        caching for that call.  SQLite tokens carry ``PRAGMA
-        data_version``, JSONL tokens a head/tail content fingerprint,
-        so an external same-size upsert inside one coarse mtime tick
-        still invalidates -- a bare ``(mtime, size)`` key would not.
-        """
-        return self.store.change_token()
-
     def stats(self) -> dict:
         self._evict_terminal()  # /stats is polled: the TTL clock tick
         store_stats = None
         if self.store is not None:
-            # Cached like records(): a JSONL store's record count is a
-            # full parse, and /stats is the endpoint monitors poll.
-            key = self._store_token()
+            # Cached like records(): /stats is the endpoint monitors
+            # poll, and a record count is a full table scan.
+            key = self.store.change_token()
             cached = self._stats_cache
             if key is not None and cached is not None and cached[0] == key:
                 store_stats = cached[1]
@@ -623,7 +573,7 @@ class SweepService:
             memo = list(_MEMO.values())
             return [r for r in memo if r.get("version") == EVAL_VERSION]
         cache = self.record_cache
-        key = self._store_token() if cache is not None else None
+        key = self.store.change_token() if cache is not None else None
         if cache is not None:
             cache.sync(key)
             if key is not None:
@@ -674,7 +624,7 @@ class SweepService:
             yield self._page_terminal(page, limit)
             return
         cache = self.record_cache
-        key = self._store_token() if cache is not None else None
+        key = self.store.change_token() if cache is not None else None
         if cache is not None:
             cache.sync(key)
             if key is not None:
@@ -736,8 +686,8 @@ class SweepService:
         # writers.
         self._invalidate_caches()
         # Only report what this request did: a total record count would
-        # be a full-store parse per uploaded chunk on the JSONL backend
-        # (GET /stats serves cached totals).
+        # be a full table scan per uploaded chunk (GET /stats serves
+        # cached totals).
         return {"appended": appended, "job": job.id}
 
     # -- the job queue --------------------------------------------------
@@ -890,33 +840,19 @@ class SweepService:
         state = job.cancel()
         return {"job": job.id, "state": state, "cancel_requested": True}
 
-    def _staging_store(self, job: Job) -> ResultStore:
-        """The private JSONL store a staged job appends into."""
-        path = self.store.path
-        return ResultStore(path.with_name(f"{path.name}.job-{job.id}.staging"))
-
     def _run_sweep_job(self, job: Job) -> None:
         """Execute one sweep job on a pool worker thread.
 
-        SQLite-backed jobs write straight to the shared store (the
-        conditional upsert makes concurrent appenders safe).  Jobs on
-        any other backend stage privately and merge under the store
-        lock when they stop, whatever the reason -- completed records
-        are always kept, the way an interrupted local run keeps its
-        partials.  A held-open appender would race ingest: concurrent
-        JSONL appends tear lines, and a partitioned ingest rewrites the
-        parts it compacts under the appender's open handles.
+        The job writes straight to the shared SQLite store: the
+        conditional upsert makes concurrent appenders safe, and each
+        evaluated chunk commits before any of its records streams, so
+        a job that stops for any reason keeps every chunk it finished.
         """
-        staging: ResultStore | None = None
-        store: ResultStoreBase | None = self.store
-        if store is not None and store.backend != "sqlite":
-            staging = self._staging_store(job)
-            store = StagedWrites(store, staging)
         error: str | None = None
         try:
             for sweep_record in iter_sweep(
                 job.spec,
-                store=store,
+                store=self.store,
                 workers=job.workers,
                 vectorize=job.vectorize,
                 should_cancel=job.cancel_requested,
@@ -925,14 +861,6 @@ class SweepService:
         except Exception as failure:  # noqa: BLE001 - job boundary
             error = str(failure)
         finally:
-            if staging is not None and staging.exists():
-                job.mark_phase("stage-merge")
-                merged = len(staging.load())
-                with self._store_lock:
-                    self.store.merge([staging])
-                staging.path.unlink(missing_ok=True)
-                if self.journal is not None and merged:
-                    self.journal.record_merged(job.id, merged)
             self._invalidate_caches()
         if error is not None:
             job.finish(FAILED, error=error)

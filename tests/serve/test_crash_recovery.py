@@ -10,7 +10,8 @@ running, or already done -- the assertions are valid wherever it lands
 
 The hypothesis property at the bottom drives the same invariant
 deterministically: replaying a journal whose job has *any* prefix of
-its records already staged never re-evaluates a config hash.
+its records already committed to the store never re-evaluates a config
+hash.
 """
 
 import json
@@ -31,7 +32,7 @@ import repro
 from repro.dse import clear_memo
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
-from repro.dse.store import ResultStore
+from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import ServeClient, ServeError, SweepService
 from repro.serve.fleet import FleetWorker
 from repro.serve.journal import JobJournal
@@ -175,7 +176,7 @@ def _local_union(*specs) -> list[dict]:
 
 class TestServerSigkill:
     def test_scalar_jobs_survive_sigkill(self, tmp_path):
-        store = tmp_path / "crash.jsonl"
+        store = tmp_path / "crash.sqlite"
         server = _Server(store, extra=("--job-workers", "1"))
         try:
             client = ServeClient(server.url, retries=0)
@@ -198,10 +199,9 @@ class TestServerSigkill:
             states = _wait_jobs_done(client, [running, queued])
             assert set(states.values()) == {"done"}
 
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(_local_union(BIG, SMALL))
             )
-            assert not list(tmp_path.glob("*.staging"))
             assert server.shutdown(drain=True) == 0
         finally:
             server.reap()
@@ -230,13 +230,12 @@ class TestServerSigkill:
             }
             served = client.records()
             assert _canonical(served) == _canonical(local.values())
-            assert not list(tmp_path.glob("*.staging"))
             assert server.shutdown(drain=True) == 0
         finally:
             server.reap()
 
     def test_fleet_job_survives_sigkill_mid_sweep(self, tmp_path):
-        store = tmp_path / "fleet.jsonl"
+        store = tmp_path / "fleet.sqlite"
         local = _local_union(WIDE)
 
         server = _Server(store)
@@ -269,10 +268,9 @@ class TestServerSigkill:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(local)
             )
-            assert not list(tmp_path.glob("*.staging"))
             assert server.shutdown(drain=True) == 0
         finally:
             if worker is not None:
@@ -290,7 +288,7 @@ class TestServerSigkill:
 @given(staged=st.integers(min_value=0, max_value=24))
 def test_replaying_any_journal_prefix_never_reevaluates(staged):
     """Recovery property: whatever record prefix a dead server managed
-    to stage, the resumed job serves exactly that prefix from the store
+    to commit, the resumed job serves exactly that prefix from the store
     and evaluates exactly the rest -- no config hash runs twice, and
     the final store matches an uninterrupted run byte for byte."""
     spec = SweepSpec.from_dict(WIDE)
@@ -299,17 +297,16 @@ def test_replaying_any_journal_prefix_never_reevaluates(staged):
     prefix = local[:staged]
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = Path(tmp) / "store.jsonl"
-        jpath = Path(tmp) / "store.jsonl.journal"
+        store = Path(tmp) / "store.sqlite"
+        jpath = Path(tmp) / "store.sqlite.journal"
         journal = JobJournal(jpath)
         job = Job(spec=spec, vectorize=False)
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
         if prefix:
-            ResultStore(
-                store.with_name(f"{store.name}.job-{job.id}.staging")
-            ).append(prefix)
+            # What a killed SQLite-backed server leaves: committed rows.
+            SQLiteStore(store).append(prefix)
         journal.close()
 
         clear_memo()
@@ -321,7 +318,7 @@ def test_replaying_any_journal_prefix_never_reevaluates(staged):
             assert recovered.counts["store"] == staged
             assert recovered.counts["evaluated"] == len(spec) - staged
             assert recovered.counts["memo"] == 0
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(local)
             )
         finally:

@@ -20,7 +20,6 @@ import repro.dse.engine as engine_module
 import repro.serve.server as server_module
 from repro.cli import main
 from repro.dse import EVAL_VERSION, clear_memo
-from repro.dse.partitioned import PartitionedStore
 from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import (
     Job,
@@ -245,7 +244,7 @@ class TestConcurrencyContract:
             return records
 
         monkeypatch.setattr(engine_module, "evaluate_points", gated)
-        service = SweepService(store=tmp_path / "s.jsonl")
+        service = SweepService(store=tmp_path / "s.sqlite")
         try:
             job = service.submit({"spec": GRID})  # two one-point chunks
             assert first_chunk.wait(10)
@@ -260,8 +259,6 @@ class TestConcurrencyContract:
             assert job.completed() == 1
             stored = list(service.store.load().values())
             assert stored == job.records
-            # The staging file was merged and removed.
-            assert not list(tmp_path.glob("*.staging"))
         finally:
             service.close()
 
@@ -337,11 +334,11 @@ class _FailSecondBatch:
 class TestChunkDurability:
     """Served jobs persist whole chunks: under ingest, and on failure."""
 
-    def test_partitioned_job_survives_ingest_compaction(self, tmp_path, monkeypatch):
-        # Regression: a partitioned-store job used to write through a
-        # held-open part appender while an ingest compacted (rewrote)
-        # that part, so the job's later writes went to the replaced
-        # file and were lost.
+    def test_sqlite_job_survives_superseding_ingest(self, tmp_path, monkeypatch):
+        # A job gated between its two chunks while an ingest upserts
+        # into the same store: records superseding each other within
+        # the upload, plus a stale copy of one the job already
+        # committed.  Every record the job streamed must survive.
         real = engine_module.evaluate_points
         second_chunk, release = threading.Event(), threading.Event()
         calls = []
@@ -354,14 +351,15 @@ class TestChunkDurability:
             return real(chunk)
 
         monkeypatch.setattr(engine_module, "evaluate_points", gated)
-        store = PartitionedStore(tmp_path / "s.parts", parts=1, compact_threshold=0.5)
+        store = SQLiteStore(tmp_path / "s.sqlite")
         service = SweepService(store=store)
         try:
             job = service.submit({"spec": TWO_CHUNKS})
             assert second_chunk.wait(10)
-            # An upload sending every record three times leaves the one
-            # part over half stale, so the ingest compacts it while the
-            # job is between chunks.
+            # The first chunk committed before the second was evaluated.
+            committed = job.snapshot_records()
+            assert len(committed) == 4
+            assert store.load() == {r["hash"]: r for r in committed}
             uploads = [
                 {
                     "hash": hashlib.sha256(b"upload-%d" % i).hexdigest(),
@@ -369,8 +367,9 @@ class TestChunkDurability:
                 }
                 for i in range(20)
             ]
-            service.ingest(uploads * 3)
-            assert store.stats()["stale_lines"] == 0  # it did compact
+            stale = {**committed[0], "version": EVAL_VERSION - 1, "metrics": {}}
+            service.ingest(uploads * 3 + [stale])
+            assert len(store.load()) == 4 + len(uploads)
             release.set()
             assert job.wait(10)
             assert job.state == "done" and len(job.records) == 8

@@ -1,8 +1,8 @@
 """Tests for the crash-safe service layer: journal, recovery, drain,
 admission control, and retention.
 
-Crash states are fabricated directly (journal rows + staging files on
-disk, then a fresh :class:`SweepService` over them) so every recovery
+Crash states are fabricated directly (journal rows + committed store
+rows on disk, then a fresh :class:`SweepService` over them) so every recovery
 variant is deterministic; the subprocess SIGKILL suite lives in
 ``test_crash_recovery.py``.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.dse import clear_memo
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
-from repro.dse.store import ResultStore, StoreWarning
+from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import (
     DrainingError,
     JobJournal,
@@ -68,7 +68,7 @@ def _fresh_memo():
 
 @pytest.fixture
 def paths(tmp_path):
-    return tmp_path / "store.jsonl", tmp_path / "store.jsonl.journal"
+    return tmp_path / "store.sqlite", tmp_path / "store.sqlite.journal"
 
 
 def _wait_done(job, timeout=15.0):
@@ -269,29 +269,24 @@ class TestRecovery:
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
-        staging = ResultStore(
-            store.with_name(f"{store.name}.job-{job.id}.staging")
-        )
-        staging.append(prefix)
+        # What a killed server leaves: the chunks the job committed.
+        SQLiteStore(store).append(prefix)
         journal.close()
 
         clear_memo()
         service = SweepService(store=store, journal=jpath)
         info = service.recovery_info
         assert info["recovered_running"] == 1
-        assert info["staging_merged"] == 1
-        assert info["staging_merged_records"] == 1
         recovered = service.jobs.get(job.id)
         _wait_done(recovered)
         assert recovered.state == DONE
-        # The staged prefix resolved through the store warm path; only
+        # The committed prefix resolved through the store warm path; only
         # the remainder was evaluated.  Nothing ran twice.
         assert recovered.counts["store"] == 1
         assert recovered.counts["evaluated"] == len(spec) - 1
-        assert ResultStore(store).load() == {
+        assert SQLiteStore(store).load() == {
             r["hash"]: r for r in local.records
         }
-        assert not list(store.parent.glob("*.staging"))
         service.close()
 
     def test_cancel_requested_job_recovers_cancelled(self, paths):
@@ -326,23 +321,6 @@ class TestRecovery:
         assert recovered.status()["finished_at"] is not None
         service.close()
 
-    def test_orphan_staging_swept_with_warning(self, paths):
-        """Regression: stale staging files from a killed server are
-        merged when journaled as running, deleted with a StoreWarning
-        otherwise."""
-        store, jpath = paths
-        spec = SweepSpec.from_dict(SMALL)
-        records = run_sweep(spec, vectorize=False).records
-        orphan = ResultStore(store.with_name(f"{store.name}.job-feed.staging"))
-        orphan.append(records)
-        with pytest.warns(StoreWarning, match="orphaned staging"):
-            service = SweepService(store=store, journal=jpath)
-        assert service.recovery_info["staging_orphans_deleted"] == 1
-        assert not orphan.path.exists()
-        # Orphaned records were NOT merged (their job never journaled).
-        assert not store.exists()
-        service.close()
-
     def test_clean_shutdown_mode_is_reported(self, paths):
         store, jpath = paths
         service = SweepService(store=store, journal=jpath)
@@ -373,7 +351,7 @@ class TestFleetRecovery:
         # would, then journal its completion and a still-held lease on
         # the second.
         chunk_specs = dict(spec.chunks(job.chunk_partition))
-        ResultStore(store).append(
+        SQLiteStore(store).append(
             run_sweep(chunk_specs[done_chunk], vectorize=False).records
         )
         journal.record_lease(job.id, done_chunk, "completed", 1)
@@ -419,7 +397,7 @@ class TestFleetRecovery:
             service.fleet.ack(worker_id, lease["job"], lease["chunk"])
         _wait_done(recovered)
         assert recovered.state == DONE
-        assert ResultStore(store).load() == local
+        assert SQLiteStore(store).load() == local
         service.close()
 
     def test_fully_acked_fleet_job_recovers_done(self, paths):

@@ -153,11 +153,23 @@ class TestLaunchFleet:
 
         spec, _ = _write_spec(tmp_path)
         with pytest.raises(ValueError, match="worker count"):
-            launch_fleet(spec, workers=0, store=tmp_path / "f.jsonl")
+            launch_fleet(spec, workers=0, store=tmp_path / "f.sqlite")
         with pytest.raises(ValueError, match="no points"):
             launch_fleet(
-                SweepSpec(points=()), workers=1, store=tmp_path / "f.jsonl"
+                SweepSpec(points=()), workers=1, store=tmp_path / "f.sqlite"
             )
+
+    def test_fleet_launch_rejects_a_jsonl_store(self, tmp_path):
+        from repro.serve import launch_fleet
+
+        spec, _ = _write_spec(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="needs a SQLite store") as info:
+            launch_fleet(spec, workers=1, store=tmp_path / "f.jsonl")
+        assert f"repro dse-merge new.sqlite {tmp_path / 'f.jsonl'}" in str(
+            info.value
+        )
+        assert sorted(tmp_path.iterdir()) == before  # nothing left behind
 
     def test_fleet_launch_timeout_raises(self, tmp_path):
         from repro.serve import launch_fleet
@@ -165,7 +177,7 @@ class TestLaunchFleet:
         spec, _ = _write_spec(tmp_path)
         with pytest.raises(RuntimeError, match="timed out"):
             launch_fleet(
-                spec, workers=1, store=tmp_path / "f.jsonl", timeout=0.01
+                spec, workers=1, store=tmp_path / "f.sqlite", timeout=0.01
             )
 
 
@@ -258,7 +270,7 @@ class TestCliLaunch:
                     "--fleet",
                     "1",
                     "--store",
-                    str(tmp_path / "f.jsonl"),
+                    str(tmp_path / "f.sqlite"),
                     "--print-cmds",
                 ]
             )

@@ -191,8 +191,7 @@ class TestJobTraces:
         assert status["trace"] == timings["trace_id"]
         names = [p["phase"] for p in timings["phases"]]
         # One contiguous pass through the canonical sweep phases, no
-        # repeats and nothing left open (stage-merge only appears on
-        # JSONL-staged stores; this server writes SQLite directly).
+        # repeats and nothing left open.
         assert names == ["validate", "queue-wait", "evaluate"]
         assert all(not p["open"] for p in timings["phases"])
         assert all(p["seconds"] >= 0 for p in timings["phases"])
@@ -200,30 +199,6 @@ class TestJobTraces:
             timings["total_seconds"]
         )
         assert status["duration"] == pytest.approx(timings["total_seconds"])
-
-    def test_jsonl_staged_job_gets_a_stage_merge_phase(self, tmp_path):
-        server = SweepServer(SweepService(store=tmp_path / "staged.jsonl"))
-        thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=0.02),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            client = ServeClient(server.url)
-            job = client.submit_job(GRID)["job"]
-            status = _wait_job(client, job)
-            assert status["state"] == "done"
-            names = [p["phase"] for p in status["timings"]["phases"]]
-            assert names == [
-                "validate",
-                "queue-wait",
-                "evaluate",
-                "stage-merge",
-            ]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_ingest_job_phases(self, client):
         sweep = client.submit_job(GRID)["job"]

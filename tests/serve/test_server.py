@@ -6,12 +6,15 @@ remote client would.
 """
 
 import json
+import sqlite3
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.dse import EVAL_VERSION, clear_memo
+from repro.cli import main
+from repro.dse import EVAL_VERSION, SQLiteStore, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService, serve
 
 GRID = {
@@ -289,18 +292,19 @@ def _run_job(service, payload):
 
 class TestRecordsCache:
     def test_store_parsed_once_until_it_changes(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.jsonl")
+        service = SweepService(store=tmp_path / "s.sqlite")
         _run_job(service, {"spec": GRID})
         loads = []
-        original_load = service.store.load
-        service.store.load = lambda: loads.append(1) or original_load()
+        original_read = service.store.iter_records
+        service.store.iter_records = (
+            lambda **kwargs: loads.append(1) or original_read(**kwargs)
+        )
         first = service.records()
         assert len(first) == 2
         assert service.records() is first  # served from the cache
         assert len(loads) == 1
-        # Any append (sweep, ingest, external writer) grows the file
-        # and invalidates the cache key.  (The ingest reply itself pays
-        # a load for its record count on this backend.)
+        # Any write (sweep, ingest, external writer) moves the store's
+        # change token and invalidates the cache key.
         service.ingest([{"hash": "z" * 64, "version": EVAL_VERSION, "metrics": {}}])
         # Own writes invalidate explicitly -- stat keys alone can miss
         # a same-size upsert within one coarse mtime tick.
@@ -311,7 +315,7 @@ class TestRecordsCache:
         assert service.records() is fresh and len(loads) == 1
 
     def test_store_stats_cached_until_the_store_changes(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.jsonl")
+        service = SweepService(store=tmp_path / "s.sqlite")
         _run_job(service, {"spec": GRID})
         calls = []
         original_stats = service.store.stats
@@ -331,33 +335,6 @@ class TestExternalWriterInvalidation:
     external writer's same-size upsert must be visible to the next
     query, without the service ever being told about the write."""
 
-    def test_jsonl_same_size_upsert_is_seen_by_the_next_query(self, tmp_path):
-        import os
-
-        service = SweepService(store=tmp_path / "s.jsonl")
-        service.store.append(
-            [
-                {
-                    "hash": "a" * 64,
-                    "version": EVAL_VERSION,
-                    "metrics": {"total_seconds": 1.0, "total_energy_j": 1.0},
-                }
-            ]
-        )
-        assert service.records()[0]["metrics"]["total_seconds"] == 1.0
-        # Rewrite the record in place -- same byte count -- and pin the
-        # mtime back to the original tick, like a fast external upsert.
-        raw = service.store.path.read_bytes()
-        stat = service.store.path.stat()
-        service.store.path.write_bytes(
-            raw.replace(b'"total_seconds": 1.0', b'"total_seconds": 2.0')
-        )
-        os.utime(
-            service.store.path, ns=(stat.st_atime_ns, stat.st_mtime_ns)
-        )
-        (frontier_record,) = service.query("pareto")
-        assert frontier_record["metrics"]["total_seconds"] == 2.0
-
     def test_sqlite_external_upsert_is_seen_by_the_next_query(self, tmp_path):
         from repro.dse import SQLiteStore
 
@@ -376,6 +353,78 @@ class TestExternalWriterInvalidation:
         SQLiteStore(path).append([record])
         (frontier_record,) = service.query("pareto")
         assert frontier_record["metrics"]["total_seconds"] == 2.0
+
+
+class _FailingBatches:
+    """A store connection whose ``executemany`` always fails."""
+
+    def __init__(self, db: sqlite3.Connection):
+        self._db = db
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def __enter__(self):
+        return self._db.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._db.__exit__(*exc_info)
+
+    def executemany(self, sql, rows):
+        raise sqlite3.OperationalError("disk I/O error")
+
+
+class TestIngestStoreFailure:
+    def test_failed_ingest_commit_is_a_503(self, live_server, monkeypatch):
+        service = live_server.service
+        path = service.store.path
+        seed = {"hash": "a" * 64, "version": EVAL_VERSION, "metrics": {}}
+        service.store.append([seed])
+        before = SQLiteStore(path).load()
+        upload = {"hash": "b" * 64, "version": EVAL_VERSION, "metrics": {}}
+        request = urllib.request.Request(
+            live_server.url + "/records",
+            data=json.dumps({"records": [upload]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        connect = SQLiteStore._connect
+        monkeypatch.setattr(
+            SQLiteStore, "_connect", lambda store: _FailingBatches(connect(store))
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 503
+        body = json.load(info.value)
+        assert body["error"] == f"sqlite store {path}: disk I/O error"
+        (job,) = [j for j in service.jobs.jobs() if j.kind == "ingest"]
+        assert job.state == "failed"
+        assert job.error == body["error"]
+        monkeypatch.setattr(SQLiteStore, "_connect", connect)
+        assert SQLiteStore(path).load() == before
+        # The store is healthy again: the next ingest lands.
+        client = ServeClient(live_server.url)
+        assert client.post_records([upload])["appended"] == 1
+        assert SQLiteStore(path).load() == {**before, upload["hash"]: upload}
+
+
+class TestSqliteOnly:
+    """The service serves SQLite stores only; others fail with the fix."""
+
+    def test_service_rejects_a_jsonl_store(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(ValueError, match="needs a SQLite store") as info:
+            SweepService(store=path)
+        assert f"repro dse-merge new.sqlite {path}" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_cli_rejects_a_jsonl_store(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--store", str(path), "--port", "0"])
+        message = str(info.value.code)
+        assert message.startswith("serve: ")
+        assert f"repro dse-merge new.sqlite {path}" in message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStorelessServer:
@@ -408,7 +457,7 @@ class TestServeLifecycle:
 
         def run():
             code = serve(
-                store=tmp_path / "s.jsonl",
+                store=tmp_path / "s.sqlite",
                 port=0,
                 announce=messages.append,
                 ready=lambda server: boxed.setdefault("server", server),

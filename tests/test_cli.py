@@ -541,6 +541,10 @@ class TestDseShardingCommands:
             main(["dse-compact", str(tmp_path / "absent.jsonl")])
         assert exc.value.code != 0
 
+    def test_compact_directory_names_the_migration(self, tmp_path):
+        with pytest.raises(SystemExit, match="dse-compact: .*dse-merge out.sqlite"):
+            main(["dse-compact", str(tmp_path)])
+
 
 class TestStoreBackendFlags:
     """--backend / suffix-sniffed SQLite stores through every subcommand."""
