@@ -1,12 +1,12 @@
 """Vectorized lowered-IR evaluator at scale: cold 1008-point sweep.
 
 Acceptance bench for :mod:`repro.sim.lowered`: evaluate the same
-1008-point design-space grid cold through the scalar per-point path
-(``vectorize=False``, the ``--no-vectorize`` escape hatch) and through
-the vectorized evaluator, single-process and with a worker pool.  The
-records must be bit-identical, and the single-process vectorized run
-must beat the scalar run by at least ``MIN_SPEEDUP`` (3x by default --
-a CI-safe floor; locally the margin is far larger).
+1008-point design-space grid cold through the scalar oracle (an
+``evaluate_point`` loop over the grid's unique points) and through the
+sweep engine's vectorized evaluator.  The records must be
+bit-identical, and the vectorized run must beat the scalar loop by at
+least ``MIN_SPEEDUP`` (3x by default -- a CI-safe floor; locally the
+margin is far larger).
 
 A second case stresses the **policy axis**: the same hardware grid
 crossed with four generated per-layer policies per workload -- the
@@ -24,7 +24,7 @@ import json
 import os
 import time
 
-from repro.dse import PolicySpec, SweepSpec, clear_caches, run_sweep
+from repro.dse import PolicySpec, SweepSpec, clear_caches, evaluate_point, run_sweep
 from repro.dse.spec import build_network
 from repro.hw import DDR4, HBM2, scaled_memory
 from repro.sim import format_table
@@ -54,57 +54,59 @@ def _sweep_spec() -> SweepSpec:
     )
 
 
-def _timed_cold_run(**kwargs):
-    # Every evaluation-path cache dropped, and fresh SweepPoint
-    # instances so the per-point config-hash memo is paid inside every
-    # timed run -- scalar and vectorized alike.
+# Every evaluation-path cache is dropped and each timed run builds fresh
+# SweepPoint instances, so the per-point config-hash memo is paid inside
+# every timed run -- scalar and vectorized alike.
+def _timed_cold_run(make_spec):
     clear_caches()
-    spec = _sweep_spec()
+    spec = make_spec()
     start = time.perf_counter()
-    result = run_sweep(spec, **kwargs)
+    result = run_sweep(spec)
     return result, time.perf_counter() - start
+
+
+def _timed_cold_scalar(make_spec):
+    """The scalar oracle: ``evaluate_point`` over the unique points."""
+    clear_caches()
+    spec = make_spec()
+    start = time.perf_counter()
+    unique = {point.config_hash(): point for point in spec.points}
+    records = [evaluate_point(point) for point in unique.values()]
+    return records, time.perf_counter() - start
 
 
 def test_vectorized_vs_scalar_cold_sweep(benchmark, show):
     spec = _sweep_spec()
     assert len(spec) >= 1000
 
-    scalar, scalar_seconds = _timed_cold_run(vectorize=False)
-    assert scalar.evaluated == len(spec)
-
-    pooled, pooled_seconds = _timed_cold_run(vectorize=True, workers=4)
-    assert pooled.records == scalar.records  # bit-identical through the pool
+    scalar, scalar_seconds = _timed_cold_scalar(_sweep_spec)
+    assert len(scalar) == len(spec)
 
     def vectorized_run():
-        result, _ = _timed_cold_run(vectorize=True)
+        result, _ = _timed_cold_run(_sweep_spec)
         return result
 
     vectorized = benchmark(vectorized_run)
     assert vectorized.evaluated == len(spec)
-    assert vectorized.records == scalar.records  # bit-identical, all 1008
+    assert vectorized.records == scalar  # bit-identical, all 1008
 
-    _, vectorized_seconds = _timed_cold_run(vectorize=True)
+    _, vectorized_seconds = _timed_cold_run(_sweep_spec)
     speedup = scalar_seconds / vectorized_seconds
-    pooled_speedup = scalar_seconds / pooled_seconds
 
     rows = [
-        ("scalar (--no-vectorize)", 1, scalar_seconds * 1e3, 1.0),
-        ("vectorized", 1, vectorized_seconds * 1e3, speedup),
-        ("vectorized", 4, pooled_seconds * 1e3, pooled_speedup),
+        ("scalar (evaluate_point)", scalar_seconds * 1e3, 1.0),
+        ("vectorized", vectorized_seconds * 1e3, speedup),
     ]
     show(
-        f"Vectorized evaluator: cold {len(spec)}-point sweep "
-        f"({speedup:.1f}x single-process)",
-        format_table(["Path", "Workers", "Time (ms)", "Speedup"], rows),
+        f"Vectorized evaluator: cold {len(spec)}-point sweep ({speedup:.1f}x)",
+        format_table(["Path", "Time (ms)", "Speedup"], rows),
     )
 
     payload = {
         "points": len(spec),
         "scalar_seconds": round(scalar_seconds, 4),
         "vectorized_seconds": round(vectorized_seconds, 4),
-        "vectorized_pool4_seconds": round(pooled_seconds, 4),
         "single_process_speedup": round(speedup, 2),
-        "pool4_speedup": round(pooled_speedup, 2),
         "min_speedup_gate": MIN_SPEEDUP,
     }
     artifact = os.environ.get(
@@ -172,25 +174,19 @@ def test_policy_axis_cold_sweep(benchmark, show):
         (p.workload, p.batch, p.policy) for p in spec.points if p.kind == "asic"
     }
 
-    def cold_run(**kwargs):
-        clear_caches()
-        start = time.perf_counter()
-        result = run_sweep(_policy_axis_spec(), **kwargs)
-        return result, time.perf_counter() - start
-
-    scalar, scalar_seconds = cold_run(vectorize=False)
-    assert scalar.evaluated == len(spec)
+    scalar, scalar_seconds = _timed_cold_scalar(_policy_axis_spec)
+    assert len(scalar) == len(spec)
 
     def vectorized_run():
-        result, _ = cold_run(vectorize=True)
+        result, _ = _timed_cold_run(_policy_axis_spec)
         return result
 
     vectorized = benchmark(vectorized_run)
     assert vectorized.evaluated == len(spec)
     # Bit-identity holds for arbitrary generated policies, all points.
-    assert vectorized.records == scalar.records
+    assert vectorized.records == scalar
 
-    _, vectorized_seconds = cold_run(vectorize=True)
+    _, vectorized_seconds = _timed_cold_run(_policy_axis_spec)
     speedup = scalar_seconds / vectorized_seconds
 
     show(
@@ -199,7 +195,7 @@ def test_policy_axis_cold_sweep(benchmark, show):
         format_table(
             ["Path", "Time (ms)", "Speedup"],
             [
-                ("scalar (--no-vectorize)", scalar_seconds * 1e3, 1.0),
+                ("scalar (evaluate_point)", scalar_seconds * 1e3, 1.0),
                 ("vectorized", vectorized_seconds * 1e3, speedup),
             ],
         ),

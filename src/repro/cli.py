@@ -9,7 +9,7 @@ Examples
     python -m repro simulate --model ResNet-18 --platform bpvec --memory hbm2
     python -m repro roofline --model LSTM --platform bpvec --memory ddr4
     python -m repro dse --workload LSTM --workload RNN --store results.jsonl
-    python -m repro dse --spec sweep.json --workers 4 --format jsonl
+    python -m repro dse --spec sweep.json --format jsonl
     python -m repro dse --shard 0/2 --store shard0.jsonl --stream
     python -m repro dse --workload RNN --policy-axis policies.json
     python -m repro dse --workload LSTM --store results.sqlite --format json
@@ -232,15 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(dse)
     _add_store_arguments(dse)
-    # Default None, not 1: in --server mode an unset flag must defer to
-    # the server's own configured default instead of overriding it.
-    dse.add_argument("--workers", type=int, default=None)
-    dse.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="evaluate points one-by-one on the scalar simulator instead of "
-        "the batched numpy evaluator (records are bit-identical either way)",
-    )
     dse.add_argument(
         "--shard",
         default=None,
@@ -348,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     quant.add_argument("--objective", default="total_seconds")
     quant.add_argument("--sense", choices=("min", "max"), default="min")
     _add_store_arguments(quant)
-    quant.add_argument("--workers", type=int, default=1)
-    quant.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="evaluate points one-by-one on the scalar simulator instead of "
-        "the batched numpy evaluator (records are bit-identical either way)",
-    )
     quant.add_argument(
         "--format", choices=("table", "jsonl", "json"), default="table"
     )
@@ -405,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--host", default="127.0.0.1")
     server.add_argument(
         "--port", type=int, default=8000, help="0 binds an ephemeral port"
-    )
-    server.add_argument(
-        "--workers", type=int, default=1, help="default workers per sweep"
     )
     server.add_argument(
         "--job-workers",
@@ -499,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache up to N resolved records (and their served pages) "
         "between store changes; 0 disables the cache",
     )
-    server.add_argument("--no-vectorize", action="store_true")
     server.add_argument(
         "--verbose", action="store_true", help="log every request"
     )
@@ -536,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="socket timeout for server requests",
     )
-    worker.add_argument(
-        "--workers", type=int, default=1, help="processes per chunk evaluation"
-    )
-    worker.add_argument("--no-vectorize", action="store_true")
     worker.add_argument(
         "--exit-when-drained",
         action="store_true",
@@ -620,10 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse_launch.add_argument(
         "--shards", type=int, default=2, metavar="N", help="shard count"
     )
-    dse_launch.add_argument(
-        "--workers", type=int, default=1, help="workers per shard process"
-    )
-    dse_launch.add_argument("--no-vectorize", action="store_true")
     dse_launch.add_argument(
         "--print-cmds",
         action="store_true",
@@ -718,22 +690,6 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _server_options(args) -> dict:
-    """Engine options to forward to a server: only the explicit ones.
-
-    Flags the user did not pass are omitted from the request so the
-    server's own ``--workers`` / ``--no-vectorize`` defaults apply.
-    """
-    options: dict = {}
-    if args.workers is not None:
-        options["workers"] = args.workers
-    if args.no_vectorize:
-        options["vectorize"] = False
-    if getattr(args, "priority", None) is not None:
-        options["priority"] = args.priority
-    return options
-
-
 def _fleet_payload(args):
     """The ``"fleet"`` field of a sweep submission, or ``None``."""
     if not getattr(args, "fleet", False):
@@ -756,7 +712,7 @@ def _fleet_sweep(args, spec) -> tuple[list[dict], dict]:
         raise ValueError("empty sweep")
     client = ServeClient(args.server, timeout=args.timeout)
     job_id = client.submit_job(
-        spec.to_dict(), fleet=_fleet_payload(args), **_server_options(args)
+        spec.to_dict(), priority=args.priority, fleet=_fleet_payload(args)
     )["job"]
     outage_started = None
     while True:
@@ -827,7 +783,7 @@ def _server_sweep(args, spec) -> SweepResult:
     if len(spec) == 0:
         raise ValueError("empty sweep")  # parity with local run_sweep
     client = ServeClient(args.server, timeout=args.timeout)
-    raw, summary = client.sweep(spec.to_dict(), **_server_options(args))
+    raw, summary = client.sweep(spec.to_dict(), priority=args.priority)
     by_hash = {record["hash"]: record for record in raw}
     try:
         records = [by_hash[point.config_hash()] for point in spec.points]
@@ -887,18 +843,12 @@ def _run_dse(args) -> None:
                     file=sys.stderr,
                 )
                 return
-        vectorize = not args.no_vectorize
-        # Local default; servers keep their own (0 still reaches the
-        # engine's workers >= 1 validation).
-        workers = 1 if args.workers is None else args.workers
         if args.detach:
             if len(spec) == 0:
                 raise ValueError("empty sweep")
             client = ServeClient(args.server, timeout=args.timeout)
             job = client.submit_job(
-                spec.to_dict(),
-                fleet=_fleet_payload(args),
-                **_server_options(args),
+                spec.to_dict(), priority=args.priority, fleet=_fleet_payload(args)
             )
             # Just the id on stdout (scriptable); where to follow it on
             # stderr for humans.
@@ -913,16 +863,13 @@ def _run_dse(args) -> None:
         if args.stream:
             if args.server:
                 stream = ServeClient(args.server, timeout=args.timeout).submit(
-                    spec.to_dict(), **_server_options(args)
+                    spec.to_dict(), priority=args.priority
                 )
             else:
                 stream = (
                     sweep_record.record
                     for sweep_record in iter_sweep(
-                        spec,
-                        store=_open_cli_store(args),
-                        workers=workers,
-                        vectorize=vectorize,
+                        spec, store=_open_cli_store(args)
                     )
                 )
             for record in stream:
@@ -936,12 +883,7 @@ def _run_dse(args) -> None:
             result = _server_sweep(args, spec)
             records = result.records
         else:
-            result = run_sweep(
-                spec,
-                store=_open_cli_store(args),
-                workers=workers,
-                vectorize=vectorize,
-            )
+            result = run_sweep(spec, store=_open_cli_store(args))
             records = result.records
         if args.pareto:
             records = pareto_frontier(records)
@@ -991,8 +933,6 @@ def _run_quant_dse(args) -> None:
             objective=args.objective,
             sense=args.sense,
             store=_open_cli_store(args),
-            workers=args.workers,
-            vectorize=not args.no_vectorize,
         )
     except (KeyError, TypeError, ValueError, OSError) as error:
         raise SystemExit(f"quant-dse: {error}")
@@ -1131,8 +1071,6 @@ def _run_serve(args) -> int:
             store=_open_cli_store(args),
             host=args.host,
             port=args.port,
-            workers=args.workers,
-            vectorize=not args.no_vectorize,
             job_workers=args.job_workers,
             client_timeout=args.client_timeout,
             lease_ttl=args.lease_ttl,
@@ -1159,8 +1097,6 @@ def _run_worker(args) -> int:
         capacity=args.capacity,
         poll=args.poll,
         timeout=args.timeout,
-        workers=args.workers,
-        vectorize=not args.no_vectorize,
         exit_when_drained=args.exit_when_drained,
         max_chunks=args.max_chunks,
         throttle=args.throttle,
@@ -1208,7 +1144,6 @@ def _run_dse_launch(args) -> None:
                 args.store,
                 backend=args.backend,
                 chunks=args.chunks,
-                vectorize=not args.no_vectorize,
             )
             print(f"dse-launch: {result.summary()}")
             return
@@ -1227,13 +1162,7 @@ def _run_dse_launch(args) -> None:
             spec_path.write_text(json.dumps(spec.to_dict()))
             temp_spec = not args.print_cmds
         if args.print_cmds:
-            commands = shard_commands(
-                spec_path,
-                args.shards,
-                args.store,
-                workers=args.workers,
-                vectorize=not args.no_vectorize,
-            )
+            commands = shard_commands(spec_path, args.shards, args.store)
             print(render_commands(commands))
             shards = " ".join(
                 str(shard_store_path(args.store, i)) for i in range(args.shards)
@@ -1246,8 +1175,6 @@ def _run_dse_launch(args) -> None:
                 args.shards,
                 args.store,
                 backend=args.backend,
-                workers=args.workers,
-                vectorize=not args.no_vectorize,
                 post=args.post,
                 keep_shards=args.keep_shards,
                 fail_fast=not args.no_fail_fast,

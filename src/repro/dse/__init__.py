@@ -17,8 +17,9 @@ reusable engine:
   (``merge``) and long-lived stores stay small (``compact``, optionally
   gzipped for JSONL);
 * :mod:`~repro.dse.engine` -- ``iter_sweep``: memo -> store -> simulate
-  resolution streamed in completion order with optional
-  multiprocessing fan-out, and ``run_sweep``, the batch API on top;
+  resolution streamed in completion order, cold points evaluated in
+  vectorized lowered-workload chunks, and ``run_sweep``, the batch API
+  on top;
 * :mod:`~repro.dse.queries` -- Pareto frontier (batch and incremental),
   top-k, geomean-speedup, accuracy-vs-performance frontiers, and
   rendering over record sets;

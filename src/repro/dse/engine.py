@@ -5,12 +5,12 @@ sweep against three cache tiers -- the per-process memo, an optional
 persistent store (JSONL or SQLite), and finally a cold evaluation --
 and yields a
 :class:`SweepRecord` per unique config *as it completes*.  Cache hits
-stream out immediately; cold evaluations follow in completion order
-(``imap_unordered`` over a ``multiprocessing`` pool when ``workers >
-1``), each evaluated chunk committed to the store in one write before
-its records stream out, so an interrupted run keeps every completed
-chunk.  Callers can render partial Pareto frontiers or pipe records
-downstream without waiting for the sweep to finish.
+stream out immediately; cold points follow, evaluated in
+lowered-workload chunks by the vectorized ``evaluate_points``, each
+chunk committed to the store in one write before its records stream
+out, so an interrupted run keeps every completed chunk.  Callers can
+render partial Pareto frontiers or pipe records downstream without
+waiting for the sweep to finish.
 
 ``run_sweep`` is the batch API, reimplemented on top of the stream: it
 drains the generator and returns records in point order plus per-tier
@@ -20,16 +20,13 @@ hit counts.
 from __future__ import annotations
 
 import contextlib
-import math
-import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..obs.metrics import get_registry
-from .evaluate import _MEMO, EVAL_VERSION, evaluate_point, evaluate_points
+from .evaluate import _MEMO, EVAL_VERSION, evaluate_points
 from .spec import SweepPoint, SweepSpec
 from .store import ResultStoreBase, open_store
 
@@ -47,7 +44,7 @@ _EVAL_POINTS = _METRICS.counter(
 )
 _EVAL_CHUNK_SECONDS = _METRICS.histogram(
     "repro_eval_chunk_seconds",
-    "Latency of one vectorized evaluation chunk (serial in-process path).",
+    "Latency of one vectorized evaluation chunk.",
 )
 
 
@@ -89,22 +86,6 @@ class SweepResult:
         )
 
 
-def _pool_context():
-    # fork shares the already-imported simulator with workers -- but
-    # forking a multi-threaded process (e.g. a sweep running inside a
-    # `repro serve` handler thread) copies other threads' locks in
-    # whatever state they are in and can deadlock a child, so fork is
-    # only picked while the process is single-threaded.  Threaded
-    # processes use spawn explicitly (the platform default may still
-    # be fork); platforms without either fall back to their default.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "spawn" in methods:
-        return multiprocessing.get_context("spawn")
-    return multiprocessing.get_context()
-
-
 def _lowered_chunks(
     points: list[SweepPoint], chunk_size: int
 ) -> list[list[SweepPoint]]:
@@ -113,9 +94,9 @@ def _lowered_chunks(
     Points are grouped by lowered-workload key -- (kind, workload,
     batch, policy) -- so every chunk shares one
     :class:`~repro.sim.lowered.LoweredNetwork` and evaluates as a single
-    batch of array expressions; oversized groups split at ``chunk_size``
-    so a worker pool still load-balances.  Group order follows first
-    appearance, keeping serial evaluation deterministic.
+    batch of array expressions; oversized groups split at ``chunk_size``,
+    the group-commit unit.  Group order follows first appearance, so
+    evaluation order is deterministic.
     """
     groups: dict[tuple, list[SweepPoint]] = {}
     for point in points:
@@ -128,73 +109,32 @@ def _lowered_chunks(
     return chunks
 
 
-def _evaluate_pending(
-    points: list[SweepPoint], workers: int, chunk_size: int, vectorize: bool
-) -> Iterator[list[dict]]:
-    """Evaluate cold points, yielding each unit of work's records.
-
-    Vectorized units are lowered-workload chunks; scalar units are
-    single points.  With ``workers > 1`` units arrive in completion
-    order from a pool, which closing this generator tears down
-    (terminate), so a cancelled sweep does not burn the remaining work.
-    """
-    if vectorize:
-        chunks = _lowered_chunks(points, chunk_size)
-        if workers > 1 and len(chunks) > 1:
-            with _pool_context().Pool(workers) as pool:
-                yield from pool.imap_unordered(evaluate_points, chunks)
-        else:
-            for chunk in chunks:
-                chunk_started = time.monotonic()
-                records = evaluate_points(chunk)
-                _EVAL_CHUNK_SECONDS.observe(time.monotonic() - chunk_started)
-                yield records
-    elif workers > 1 and len(points) > 1:
-        chunk = max(1, min(chunk_size, math.ceil(len(points) / workers)))
-        with _pool_context().Pool(workers) as pool:
-            for record in pool.imap_unordered(evaluate_point, points, chunksize=chunk):
-                yield [record]
-    else:
-        for point in points:
-            yield [evaluate_point(point)]
-
-
 def iter_sweep(
     sweep: SweepSpec | Iterable[SweepPoint],
     store: ResultStoreBase | str | os.PathLike | None = None,
-    workers: int = 1,
     chunk_size: int = 32,
-    vectorize: bool = True,
     should_cancel: Callable[[], bool] | None = None,
 ) -> Iterator[SweepRecord]:
     """Stream a sweep's records in completion order, one per unique config.
 
     Memo and store hits yield first (they are already complete); cold
-    evaluations follow as the serial loop or the worker pool finishes
-    them.  Fresh records -- and memo hits the store has not seen -- are
-    persisted before they are yielded: each evaluated chunk (at most
-    ``chunk_size`` lowered-workload points) in one store write, each
-    memo hit on its own.  A consumer that stops early therefore leaves
+    points follow, evaluated chunk by chunk through the vectorized
+    ``evaluate_points``.  Fresh records -- and memo hits the store has
+    not seen -- are persisted before they are yielded: each evaluated
+    chunk (at most ``chunk_size`` lowered-workload points) in one store
+    write, each memo hit on its own.  A consumer that stops early therefore leaves
     a store warm up to that point, and a crash loses at most the chunk
     being written, which the next run re-evaluates.  An empty sweep,
     e.g. an empty shard of a fine partition, yields nothing.
-
-    With ``vectorize`` (the default) cold points are evaluated in
-    lowered-workload chunks through the numpy evaluator -- workers
-    receive whole chunks instead of single points.  ``vectorize=False``
-    is the scalar escape hatch; records are bit-identical either way.
 
     ``should_cancel`` is polled at record boundaries -- after a record
     is yielded, before the next one is touched.  When it turns true the
     generator returns early: every record already yielded is fully
     persisted, the rest of the current chunk may be persisted without
-    being yielded, nothing half-written follows, and a worker pool
-    mid-chunk is torn down on exit.  The sweep-service job queue uses
-    this for cooperative ``POST /jobs/{id}/cancel``.
+    being yielded, and nothing half-written follows.  The sweep-service
+    job queue uses this for cooperative ``POST /jobs/{id}/cancel``.
     """
     points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
     def cancelled() -> bool:
         return should_cancel is not None and should_cancel()
@@ -247,21 +187,21 @@ def iter_sweep(
                 point.config_hash(): (index, point) for index, point in pending
             }
             pending_points = [point for _, point in pending]
-            with contextlib.closing(
-                _evaluate_pending(pending_points, workers, chunk_size, vectorize)
-            ) as batches:
-                for records in batches:
-                    # One store commit per evaluated chunk, before any
-                    # of its records is yielded.
-                    if persist is not None:
-                        persist(records)
-                    for record in records:
-                        _MEMO[record["hash"]] = record
-                        index, point = by_hash[record["hash"]]
-                        tiers["evaluated"] += 1
-                        yield SweepRecord(index, point, record, "evaluated")
-                        if cancelled():
-                            return
+            for chunk in _lowered_chunks(pending_points, chunk_size):
+                chunk_started = time.monotonic()
+                records = evaluate_points(chunk)
+                _EVAL_CHUNK_SECONDS.observe(time.monotonic() - chunk_started)
+                # One store commit per evaluated chunk, before any of
+                # its records is yielded.
+                if persist is not None:
+                    persist(records)
+                for record in records:
+                    _MEMO[record["hash"]] = record
+                    index, point = by_hash[record["hash"]]
+                    tiers["evaluated"] += 1
+                    yield SweepRecord(index, point, record, "evaluated")
+                    if cancelled():
+                        return
     finally:
         # One registry touch per tier per sweep (never per record);
         # fires on normal exhaustion, cancellation, errors, and early
@@ -274,9 +214,7 @@ def iter_sweep(
 def run_sweep(
     sweep: SweepSpec | Iterable[SweepPoint],
     store: ResultStoreBase | str | os.PathLike | None = None,
-    workers: int = 1,
     chunk_size: int = 32,
-    vectorize: bool = True,
 ) -> SweepResult:
     """Evaluate a sweep through the memo -> store -> simulate tiers."""
     points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
@@ -286,14 +224,7 @@ def run_sweep(
 
     resolved: dict[str, dict] = {}
     counts = {"memo": 0, "store": 0, "evaluated": 0}
-    stream = iter_sweep(
-        points,
-        store=store,
-        workers=workers,
-        chunk_size=chunk_size,
-        vectorize=vectorize,
-    )
-    for sweep_record in stream:
+    for sweep_record in iter_sweep(points, store=store, chunk_size=chunk_size):
         resolved[sweep_record.hash] = sweep_record.record
         counts[sweep_record.source] += 1
 
@@ -307,29 +238,15 @@ def run_sweep(
 
 @dataclass
 class DSEEngine:
-    """Reusable engine configuration: store + parallelism settings."""
+    """Reusable engine configuration: store + group-commit chunk size."""
 
     store: ResultStoreBase | str | os.PathLike | None = None
-    workers: int = 1
     chunk_size: int = 32
-    vectorize: bool = True
 
     def run(self, sweep: SweepSpec | Iterable[SweepPoint]) -> SweepResult:
-        return run_sweep(
-            sweep,
-            store=self.store,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            vectorize=self.vectorize,
-        )
+        return run_sweep(sweep, store=self.store, chunk_size=self.chunk_size)
 
     def iter_sweep(
         self, sweep: SweepSpec | Iterable[SweepPoint]
     ) -> Iterator[SweepRecord]:
-        return iter_sweep(
-            sweep,
-            store=self.store,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            vectorize=self.vectorize,
-        )
+        return iter_sweep(sweep, store=self.store, chunk_size=self.chunk_size)

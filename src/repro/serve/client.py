@@ -335,8 +335,6 @@ class ServeClient:
     def submit_job(
         self,
         spec: Mapping,
-        workers: int | None = None,
-        vectorize: bool | None = None,
         priority: int | None = None,
         fleet: bool | Mapping | None = None,
     ) -> dict:
@@ -352,10 +350,6 @@ class ServeClient:
         workers instead of the server's own pool.
         """
         payload: dict = {"spec": dict(spec)}
-        if workers is not None:
-            payload["workers"] = workers
-        if vectorize is not None:
-            payload["vectorize"] = vectorize
         if priority is not None:
             payload["priority"] = priority
         if fleet:
@@ -423,11 +417,7 @@ class ServeClient:
             return
 
     def submit(
-        self,
-        spec: Mapping,
-        workers: int | None = None,
-        vectorize: bool | None = None,
-        priority: int | None = None,
+        self, spec: Mapping, priority: int | None = None
     ) -> Iterator[dict]:
         """Submit a sweep and follow it: records in completion order.
 
@@ -435,24 +425,14 @@ class ServeClient:
         captured on :attr:`last_summary` rather than yielded, exactly
         like the pre-job-queue streaming protocol.
         """
-        job = self.submit_job(
-            spec, workers=workers, vectorize=vectorize, priority=priority
-        )
+        job = self.submit_job(spec, priority=priority)
         yield from self.stream_job(job["job"])
 
     def sweep(
-        self,
-        spec: Mapping,
-        workers: int | None = None,
-        vectorize: bool | None = None,
-        priority: int | None = None,
+        self, spec: Mapping, priority: int | None = None
     ) -> tuple[list[dict], dict | None]:
         """Drain :meth:`submit`; returns ``(records, summary)``."""
-        records = list(
-            self.submit(
-                spec, workers=workers, vectorize=vectorize, priority=priority
-            )
-        )
+        records = list(self.submit(spec, priority=priority))
         return records, self.last_summary
 
     def query(self, name: str, **params) -> list[dict]:

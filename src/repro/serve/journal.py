@@ -69,14 +69,15 @@ _JOURNAL_WRITE_SECONDS = _METRICS.histogram(
     "Latency of one committed journal transaction.",
 )
 
+# Journals written while sweeps took a process-pool size and a scalar
+# switch also carry those two nullable job columns; no statement names
+# them, so such journals still recover.
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS jobs ("
     " id TEXT PRIMARY KEY,"
     " seq INTEGER NOT NULL,"  # submission order, the FIFO replay key
     " kind TEXT NOT NULL,"
     " spec TEXT,"  # SweepSpec.to_dict() JSON (round-trips config hashes)
-    " workers INTEGER,"
-    " vectorize INTEGER,"
     " priority INTEGER NOT NULL DEFAULT 10,"
     " chunks INTEGER,"  # fleet partition width; NULL for pool jobs
     " state TEXT NOT NULL,"
@@ -109,10 +110,6 @@ def default_journal_path(store_path: str | os.PathLike) -> Path:
     """The journal path colocated with a server store by default."""
     path = Path(store_path)
     return path.with_name(path.name + ".journal")
-
-
-def _flag(value) -> int | None:
-    return None if value is None else int(bool(value))
 
 
 class JobJournal:
@@ -210,18 +207,15 @@ class JobJournal:
         statements: list[tuple[str, tuple]] = [
             (
                 "INSERT OR REPLACE INTO jobs"
-                " (id, seq, kind, spec, workers, vectorize, priority,"
-                "  chunks, state, error, cancel_requested, submitted_at,"
-                "  started_at, finished_at)"
+                " (id, seq, kind, spec, priority, chunks, state, error,"
+                "  cancel_requested, submitted_at, started_at, finished_at)"
                 " VALUES (?, COALESCE((SELECT seq FROM jobs WHERE id = ?1),"
                 "  (SELECT MAX(seq) + 1 FROM jobs), 0),"
-                "  ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "  ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     job.id,
                     job.kind,
                     spec,
-                    getattr(job, "workers", None),
-                    _flag(getattr(job, "vectorize", None)),
                     job.priority,
                     getattr(job, "chunk_partition", None),
                     job.state,
@@ -354,7 +348,7 @@ class JobJournal:
     def jobs(self) -> list[dict]:
         """Every journaled job, in priority-FIFO replay order."""
         rows = self._read(
-            "SELECT id, seq, kind, spec, workers, vectorize, priority,"
+            "SELECT id, seq, kind, spec, priority,"
             " chunks, state, error, cancel_requested, submitted_at,"
             " started_at, finished_at, merged_records"
             " FROM jobs ORDER BY priority, seq"
@@ -364,8 +358,6 @@ class JobJournal:
             "seq",
             "kind",
             "spec",
-            "workers",
-            "vectorize",
             "priority",
             "chunks",
             "state",

@@ -57,10 +57,8 @@ def _shard_argv(
     index: int,
     count: int,
     store_path: str | os.PathLike,
-    workers: int = 1,
-    vectorize: bool = True,
 ) -> list[str]:
-    argv = [
+    return [
         "dse",
         "--spec",
         str(spec_path),
@@ -68,22 +66,15 @@ def _shard_argv(
         f"{index}/{count}",
         "--store",
         str(store_path),
-        "--workers",
-        str(workers),
         "--format",
         "jsonl",
     ]
-    if not vectorize:
-        argv.append("--no-vectorize")
-    return argv
 
 
 def shard_commands(
     spec_path: str | os.PathLike,
     count: int,
     dest: str | os.PathLike,
-    workers: int = 1,
-    vectorize: bool = True,
     program: tuple[str, ...] = ("repro",),
 ) -> list[list[str]]:
     """The ``count`` command lines that together cover the sweep.
@@ -97,14 +88,7 @@ def shard_commands(
     """
     return [
         list(program)
-        + _shard_argv(
-            spec_path,
-            index,
-            count,
-            shard_store_path(dest, index),
-            workers=workers,
-            vectorize=vectorize,
-        )
+        + _shard_argv(spec_path, index, count, shard_store_path(dest, index))
         for index in range(count)
     ]
 
@@ -203,8 +187,6 @@ def launch(
     shards: int,
     store: "ResultStoreBase | str | os.PathLike",
     backend: str | None = None,
-    workers: int = 1,
-    vectorize: bool = True,
     post: str | None = None,
     keep_shards: bool = False,
     fail_fast: bool = True,
@@ -232,8 +214,6 @@ def launch(
         spec_path,
         shards,
         dest.path,
-        workers=workers,
-        vectorize=vectorize,
         program=(sys.executable, "-m", "repro"),
     )
     env = _subprocess_env()
@@ -308,8 +288,8 @@ class FleetLaunchResult:
         return text
 
 
-def _worker_argv(url: str, poll: float, vectorize: bool) -> list[str]:
-    argv = [
+def _worker_argv(url: str, poll: float) -> list[str]:
+    return [
         sys.executable,
         "-m",
         "repro",
@@ -320,9 +300,6 @@ def _worker_argv(url: str, poll: float, vectorize: bool) -> list[str]:
         "--poll",
         str(poll),
     ]
-    if not vectorize:
-        argv.append("--no-vectorize")
-    return argv
 
 
 def launch_fleet(
@@ -331,7 +308,6 @@ def launch_fleet(
     store: "ResultStoreBase | str | os.PathLike",
     backend: str | None = None,
     chunks: int | None = None,
-    vectorize: bool = True,
     lease_ttl: float | None = None,
     heartbeat_ttl: float | None = None,
     poll: float = 0.2,
@@ -379,7 +355,7 @@ def launch_fleet(
         job_id = client.submit_job(spec.to_dict(), fleet={"chunks": chunks})[
             "job"
         ]
-        argv = _worker_argv(server.url, poll, vectorize)
+        argv = _worker_argv(server.url, poll)
         processes = [
             subprocess.Popen(
                 argv,

@@ -37,9 +37,9 @@ Endpoints
     every current-version record, streamed as NDJSON, ending with a
     ``{"count": n}`` terminal line (truncation detection).
 ``POST /sweep``
-    Body ``{"spec": {...}, "workers"?: n, "vectorize"?: bool,
-    "priority"?: n, "fleet"?: true | {"chunks": n}}`` where ``spec``
-    is the JSON sweep-spec format (grid or explicit points).
+    Body ``{"spec": {...}, "priority"?: n, "fleet"?: true |
+    {"chunks": n}}`` where ``spec`` is the JSON sweep-spec format (grid
+    or explicit points); other keys are ignored.
     Validates, enqueues, and immediately returns the job's status
     object (its ``job`` field is the id).  With ``fleet`` the job goes
     to the pull-based lease queue (:mod:`repro.serve.fleet`) instead
@@ -255,8 +255,6 @@ class SweepService:
     def __init__(
         self,
         store: ResultStoreBase | str | os.PathLike | None = None,
-        workers: int = 1,
-        vectorize: bool = True,
         job_workers: int = 2,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         heartbeat_ttl: float = DEFAULT_HEARTBEAT_TTL,
@@ -273,8 +271,6 @@ class SweepService:
                 f"is a {self.store.backend} store; convert it with "
                 f"`repro dse-merge new.sqlite {self.store.path}`"
             )
-        self.workers = workers
-        self.vectorize = vectorize
         self.sweeps_served = 0
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max queue depth must be >= 1")
@@ -420,10 +416,6 @@ class SweepService:
             return  # nothing actionable without a spec
         job = Job(
             spec=SweepSpec.from_dict(json.loads(row["spec"])),
-            workers=int(row["workers"] or self.workers),
-            vectorize=bool(
-                self.vectorize if row["vectorize"] is None else row["vectorize"]
-            ),
             priority=int(row["priority"]),
             job_id=row["id"],
         )
@@ -717,13 +709,6 @@ class SweepService:
         # so their trace dies here with the exception).
         trace = Trace("validate")
         spec = SweepSpec.from_dict(payload.get("spec") or {})
-        workers = payload.get("workers")
-        workers = self.workers if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        vectorize = payload.get("vectorize")
-        if vectorize is None:
-            vectorize = self.vectorize
         priority = payload.get("priority")
         priority = DEFAULT_PRIORITY if priority is None else int(priority)
         self._evict_terminal()
@@ -743,13 +728,7 @@ class SweepService:
                         f"job queue is full ({queued} queued, bound "
                         f"{self.max_queue_depth}); retry later"
                     )
-            job = Job(
-                spec=spec,
-                workers=workers,
-                vectorize=bool(vectorize),
-                priority=priority,
-                trace=trace,
-            )
+            job = Job(spec=spec, priority=priority, trace=trace)
             # Journal before the id is visible: a submission the client
             # heard about always survives a crash.  A journal write
             # failure here fails the submission (503), not the journal.
@@ -853,8 +832,6 @@ class SweepService:
             for sweep_record in iter_sweep(
                 job.spec,
                 store=self.store,
-                workers=job.workers,
-                vectorize=job.vectorize,
                 should_cancel=job.cancel_requested,
             ):
                 job.append(sweep_record.record, sweep_record.source)
@@ -1393,8 +1370,6 @@ def serve(
     store: ResultStoreBase | str | os.PathLike | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: int = 1,
-    vectorize: bool = True,
     job_workers: int = 2,
     client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
     lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -1446,8 +1421,6 @@ def serve(
         raise ValueError("journal=True needs a store to colocate with")
     service = SweepService(
         store=store,
-        workers=workers,
-        vectorize=vectorize,
         job_workers=job_workers,
         lease_ttl=lease_ttl,
         heartbeat_ttl=heartbeat_ttl,

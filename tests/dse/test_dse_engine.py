@@ -1,5 +1,6 @@
-"""Tests for the sweep engine: caching tiers, dedup, multiprocessing,
-and the streaming ``iter_sweep`` API the batch API is built on."""
+"""Tests for the sweep engine: caching tiers, dedup, vectorized chunk
+evaluation, and the streaming ``iter_sweep`` API the batch API is built
+on."""
 
 import pytest
 
@@ -100,26 +101,9 @@ class TestRunSweep:
         assert result.evaluated == 1
         assert store.load()[point.config_hash()]["version"] == EVAL_VERSION
 
-    def test_multiprocessing_matches_serial(self, tmp_path):
-        spec = SweepSpec.grid(
-            workloads=("LSTM", "RNN", "AlexNet"),
-            platforms=("tpu", "bpvec"),
-            memories=("ddr4", "hbm2"),
-            batches=(1,),
-        )
-        serial = run_sweep(spec)
-        clear_memo()
-        parallel = run_sweep(spec, workers=2)
-        assert parallel.records == serial.records
-        assert parallel.evaluated == len(spec)
-
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([])
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            run_sweep(_points("LSTM"), workers=0)
 
     def test_summary_mentions_tiers(self):
         result = run_sweep(_points("LSTM"))
@@ -220,28 +204,6 @@ class TestIterSweep:
         assert list(iter_sweep([])) == []
         assert list(iter_sweep(SweepSpec(points=()))) == []
 
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            list(iter_sweep(_points("LSTM"), workers=0))
-
-    def test_multiprocessing_stream_completion_order(self, tmp_path):
-        spec = SweepSpec.grid(
-            workloads=("LSTM", "RNN", "AlexNet"),
-            platforms=("tpu", "bpvec"),
-            memories=("ddr4", "hbm2"),
-            batches=(1,),
-        )
-        serial = run_sweep(spec)
-        clear_memo()
-        streamed = list(iter_sweep(spec, workers=2, chunk_size=1))
-        assert {sr.hash for sr in streamed} == {
-            r["hash"] for r in serial.records
-        }
-        by_hash = {r["hash"]: r for r in serial.records}
-        for sr in streamed:
-            assert sr.record == by_hash[sr.hash]
-
-
 class TestShardedRuns:
     def test_two_shard_run_merges_to_unsharded_result(self, tmp_path):
         spec = SweepSpec.grid(
@@ -282,7 +244,7 @@ class TestShardedRuns:
 
 class TestDSEEngine:
     def test_engine_wraps_run_sweep(self, tmp_path):
-        engine = DSEEngine(store=tmp_path / "s.jsonl", workers=1)
+        engine = DSEEngine(store=tmp_path / "s.jsonl")
         spec = SweepSpec.grid(
             workloads=("LSTM",), platforms=("bpvec",), memories=("ddr4",)
         )
@@ -304,7 +266,7 @@ class TestDSEEngine:
 
 
 class TestVectorizedEvaluation:
-    """The vectorized default and the --no-vectorize escape hatch agree."""
+    """Vectorized chunks agree bit-for-bit with the scalar oracle."""
 
     def _grid(self):
         return SweepSpec.grid(
@@ -315,21 +277,13 @@ class TestVectorizedEvaluation:
             batches=(1, 4),
         )
 
-    def test_scalar_escape_hatch_bit_identical(self):
+    def test_records_match_scalar_oracle(self):
         spec = self._grid()
-        vectorized = run_sweep(spec, vectorize=True)
+        vectorized = run_sweep(spec)
         clear_memo()
-        scalar = run_sweep(spec, vectorize=False)
-        assert vectorized.records == scalar.records
-        assert vectorized.evaluated == scalar.evaluated == len(spec)
-
-    def test_vectorized_pool_matches_serial(self):
-        spec = self._grid()
-        serial = run_sweep(spec, vectorize=True)
-        clear_memo()
-        pooled = run_sweep(spec, workers=4, vectorize=True)
-        assert pooled.records == serial.records
-        assert pooled.evaluated == len(spec)
+        scalar = [evaluate_point(point) for point in spec.points]
+        assert vectorized.records == scalar
+        assert vectorized.evaluated == len(spec)
 
     def test_chunks_respect_chunk_size(self):
         spec = self._grid()
@@ -347,15 +301,6 @@ class TestVectorizedEvaluation:
         assert [r["kind"] for r in result.records] == ["asic", "gpu", "asic"]
         for point, record in zip(points, result.records):
             assert record == evaluate_point(point)
-
-    def test_engine_vectorize_flag(self, tmp_path):
-        scalar_engine = DSEEngine(store=tmp_path / "s.jsonl", vectorize=False)
-        points = _points("LSTM", "RNN")
-        scalar = scalar_engine.run(points)
-        clear_memo()
-        vector_engine = DSEEngine(vectorize=True)
-        assert vector_engine.run(points).records == scalar.records
-
 
 class TestShouldCancel:
     """Cooperative cancellation: the hook behind POST /jobs/{id}/cancel."""
@@ -379,30 +324,6 @@ class TestShouldCancel:
         # The one yielded record is fully persisted; nothing half-done
         # follows it -- cancel lands exactly on a record boundary.
         assert set(store.load()) == {yielded[0].hash}
-
-    def test_scalar_path_honours_cancel(self):
-        yielded = []
-        stream = iter_sweep(
-            _points("LSTM", "RNN"),
-            vectorize=False,
-            should_cancel=lambda: len(yielded) >= 1,
-        )
-        for sweep_record in stream:
-            yielded.append(sweep_record)
-        assert len(yielded) == 1
-
-    def test_pool_path_honours_cancel(self):
-        yielded = []
-        stream = iter_sweep(
-            _points("LSTM", "RNN", "AlexNet"),
-            workers=2,
-            should_cancel=lambda: len(yielded) >= 1,
-        )
-        for sweep_record in stream:
-            yielded.append(sweep_record)
-        # The early return tears the pool down mid-sweep: strictly
-        # fewer records than the full three-chunk run.
-        assert len(yielded) == 1
 
     def test_uncancelled_hook_changes_nothing(self):
         points = _points("LSTM", "RNN")
@@ -430,10 +351,7 @@ class TestGroupCommit:
     )
     CHUNKS = 84
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sqlite_commits_one_transaction_per_chunk(
-        self, tmp_path, monkeypatch, workers
-    ):
+    def test_sqlite_commits_one_transaction_per_chunk(self, tmp_path, monkeypatch):
         assert len(self.SPEC) == 1008
         plain = run_sweep(self.SPEC)
         clear_memo()
@@ -447,7 +365,7 @@ class TestGroupCommit:
 
         monkeypatch.setattr(SQLiteStore, "_connect", traced)
         store = SQLiteStore(tmp_path / "s.sqlite")
-        stored = run_sweep(self.SPEC, store=store, workers=workers)
+        stored = run_sweep(self.SPEC, store=store)
         commits = [sql for sql in statements if sql.strip().upper() == "COMMIT"]
         assert len(commits) == self.CHUNKS
         # Bit-identical to the storeless run, streamed and stored.

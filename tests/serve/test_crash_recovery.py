@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.dse import clear_memo
+from repro.dse import clear_memo, evaluate_point
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
 from repro.dse.sqlite_store import SQLiteStore
@@ -162,26 +162,27 @@ def _wait_jobs_done(client: ServeClient, job_ids, timeout=60.0) -> dict:
     raise AssertionError(f"jobs never finished: {states}")
 
 
+def _scalar_records(spec: SweepSpec) -> list[dict]:
+    """The scalar oracle's records for ``spec``, in point order."""
+    return [evaluate_point(point) for point in spec.points]
+
+
 def _local_union(*specs) -> list[dict]:
-    clear_memo()
     merged: dict[str, dict] = {}
     for payload in specs:
-        for record in run_sweep(
-            SweepSpec.from_dict(payload), vectorize=False
-        ).records:
+        for record in _scalar_records(SweepSpec.from_dict(payload)):
             merged[record["hash"]] = record
-    clear_memo()
     return list(merged.values())
 
 
 class TestServerSigkill:
-    def test_scalar_jobs_survive_sigkill(self, tmp_path):
+    def test_running_and_queued_jobs_survive_sigkill(self, tmp_path):
         store = tmp_path / "crash.sqlite"
         server = _Server(store, extra=("--job-workers", "1"))
         try:
             client = ServeClient(server.url, retries=0)
-            running = client.submit_job(BIG, vectorize=False)["job"]
-            queued = client.submit_job(SMALL, vectorize=False)["job"]
+            running = client.submit_job(BIG)["job"]
+            queued = client.submit_job(SMALL)["job"]
             # Kill as soon as the first job leaves the queue (or is
             # already done -- the assertions hold wherever this lands).
             deadline = time.time() + 10
@@ -251,7 +252,6 @@ class TestServerSigkill:
                 name="chaos",
                 poll=0.05,
                 throttle=0.3,
-                vectorize=False,
                 reconnect_grace=30.0,
                 exit_when_drained=True,
                 log=_silent,
@@ -292,15 +292,14 @@ def test_replaying_any_journal_prefix_never_reevaluates(staged):
     and evaluates exactly the rest -- no config hash runs twice, and
     the final store matches an uninterrupted run byte for byte."""
     spec = SweepSpec.from_dict(WIDE)
-    clear_memo()
-    local = run_sweep(spec, vectorize=False).records
+    local = _scalar_records(spec)
     prefix = local[:staged]
 
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "store.sqlite"
         jpath = Path(tmp) / "store.sqlite.journal"
         journal = JobJournal(jpath)
-        job = Job(spec=spec, vectorize=False)
+        job = Job(spec=spec)
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()

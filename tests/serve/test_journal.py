@@ -8,12 +8,13 @@ variant is deterministic; the subprocess SIGKILL suite lives in
 """
 
 import json
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro.dse import clear_memo
+from repro.dse import clear_memo, evaluate_point
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
 from repro.dse.sqlite_store import SQLiteStore
@@ -57,6 +58,11 @@ WIDE = {
         "memories": ["ddr4", "hbm2"],
     }
 }
+
+
+def _scalar_records(spec: SweepSpec) -> list[dict]:
+    """The scalar oracle's records for ``spec``, in point order."""
+    return [evaluate_point(point) for point in spec.points]
 
 
 @pytest.fixture(autouse=True)
@@ -261,11 +267,11 @@ class TestRecovery:
     def test_running_job_resumes_without_recomputing(self, paths):
         store, jpath = paths
         spec = SweepSpec.from_dict(GRID)
-        local = run_sweep(spec, vectorize=False)
-        prefix = local.records[:1]
+        local = _scalar_records(spec)
+        prefix = local[:1]
 
         journal = JobJournal(jpath)
-        job = Job(spec=spec, vectorize=False)
+        job = Job(spec=spec)
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
@@ -284,9 +290,44 @@ class TestRecovery:
         # the remainder was evaluated.  Nothing ran twice.
         assert recovered.counts["store"] == 1
         assert recovered.counts["evaluated"] == len(spec) - 1
+        assert SQLiteStore(store).load() == {r["hash"]: r for r in local}
+        service.close()
+
+    def test_journal_with_retired_engine_columns_recovers(self, paths):
+        # A journal written while jobs carried a pool size and a scalar
+        # switch: the old ``jobs`` table, with a queued pool job that
+        # asked for two processes and the scalar path.
+        store, jpath = paths
+        spec = SweepSpec.from_dict(GRID)
+        db = sqlite3.connect(jpath)
+        with db:
+            db.execute(
+                "CREATE TABLE jobs (id TEXT PRIMARY KEY, seq INTEGER NOT NULL,"
+                " kind TEXT NOT NULL, spec TEXT, workers INTEGER,"
+                " vectorize INTEGER, priority INTEGER NOT NULL DEFAULT 10,"
+                " chunks INTEGER, state TEXT NOT NULL, error TEXT,"
+                " cancel_requested INTEGER NOT NULL DEFAULT 0,"
+                " submitted_at REAL, started_at REAL, finished_at REAL,"
+                " merged_records INTEGER NOT NULL DEFAULT 0)"
+            )
+            db.execute(
+                "INSERT INTO jobs (id, seq, kind, spec, workers, vectorize,"
+                " priority, state, submitted_at)"
+                " VALUES ('old', 0, 'sweep', ?, 2, 0, 10, 'queued', 1.0)",
+                (json.dumps(spec.to_dict(), sort_keys=True),),
+            )
+        db.close()
+
+        service = SweepService(store=store, journal=jpath)
+        assert service.recovery_info["recovered_queued"] == 1
+        recovered = _wait_done(service.jobs.get("old"))
+        assert recovered.state == DONE
+        assert recovered.counts["evaluated"] == len(spec)
         assert SQLiteStore(store).load() == {
-            r["hash"]: r for r in local.records
+            r["hash"]: r for r in _scalar_records(spec)
         }
+        (row,) = service.journal.jobs()
+        assert (row["id"], row["state"]) == ("old", DONE)
         service.close()
 
     def test_cancel_requested_job_recovers_cancelled(self, paths):
@@ -351,9 +392,7 @@ class TestFleetRecovery:
         # would, then journal its completion and a still-held lease on
         # the second.
         chunk_specs = dict(spec.chunks(job.chunk_partition))
-        SQLiteStore(store).append(
-            run_sweep(chunk_specs[done_chunk], vectorize=False).records
-        )
+        SQLiteStore(store).append(run_sweep(chunk_specs[done_chunk]).records)
         journal.record_lease(job.id, done_chunk, "completed", 1)
         journal.record_lease(job.id, leased_chunk, "leased", 1)
         journal.close()
@@ -378,10 +417,7 @@ class TestFleetRecovery:
     def test_recovered_fleet_job_drains_to_local_result(self, paths):
         store, jpath = paths
         job, spec = self._fabricate(store, jpath)
-        clear_memo()
-        local = {
-            r["hash"]: r for r in run_sweep(spec, vectorize=False).records
-        }
+        local = {r["hash"]: r for r in _scalar_records(spec)}
 
         clear_memo()
         service = SweepService(store=store, journal=jpath)
@@ -393,7 +429,7 @@ class TestFleetRecovery:
             if lease is None:
                 break
             chunk_spec = SweepSpec.from_dict(lease["spec"])
-            service.ingest(run_sweep(chunk_spec, vectorize=False).records)
+            service.ingest(run_sweep(chunk_spec).records)
             service.fleet.ack(worker_id, lease["job"], lease["chunk"])
         _wait_done(recovered)
         assert recovered.state == DONE

@@ -44,13 +44,6 @@ class TestShardCommands:
             assert f"{index}/3" in command
             assert str(shard_store_path(tmp_path / "dest.jsonl", index)) in command
 
-    def test_no_vectorize_and_workers_propagate(self, tmp_path):
-        (command,) = shard_commands(
-            "spec.json", 1, tmp_path / "d.jsonl", workers=4, vectorize=False
-        )
-        assert "--no-vectorize" in command
-        assert command[command.index("--workers") + 1] == "4"
-
     def test_render_commands_is_shell_quoted(self, tmp_path):
         rendered = render_commands(
             shard_commands("my spec.json", 2, tmp_path / "dest.jsonl")
@@ -66,7 +59,7 @@ class TestLaunch:
         local = run_sweep(spec)
 
         dest = tmp_path / "merged.sqlite"
-        result = launch(spec_path, 2, dest, workers=1)
+        result = launch(spec_path, 2, dest)
         assert isinstance(result, LaunchResult)
         assert result.shards == 2
         assert result.merged_records == len(spec)

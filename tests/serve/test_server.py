@@ -14,7 +14,13 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.dse import EVAL_VERSION, SQLiteStore, clear_memo
+from repro.dse import (
+    EVAL_VERSION,
+    SQLiteStore,
+    SweepSpec,
+    clear_memo,
+    evaluate_point,
+)
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService, serve
 
 GRID = {
@@ -123,10 +129,6 @@ class TestSweepEndpoint:
         with pytest.raises(ServeError, match="400"):
             client._json("/sweep", [1, 2])
 
-    def test_zero_workers_is_a_client_error(self, client):
-        with pytest.raises(ServeError, match="workers"):
-            client.sweep(GRID, workers=0)
-
     def test_mid_stream_evaluation_error_arrives_in_band(self, client):
         # The spec itself is well-formed, so the stream starts with 200;
         # the evaluation failure must arrive as an in-band error object
@@ -145,14 +147,22 @@ class TestSweepEndpoint:
         with pytest.raises(ServeError, match="outside supported range"):
             list(client.submit(spec))
 
-    def test_workers_and_vectorize_pass_through(self, client):
-        records, summary = client.sweep(GRID, workers=2, vectorize=False)
+    def test_sweep_matches_scalar_oracle(self, client):
+        records, summary = client.sweep(GRID)
         assert summary["evaluated"] == 2
-        clear_memo()
-        vectorized, _ = client.sweep(GRID, vectorize=True)
-        # Scalar and vectorized server paths agree bit-for-bit.
-        by_hash = {r["hash"]: r for r in records}
-        assert all(by_hash[r["hash"]] == r for r in vectorized)
+        # The served records equal the scalar oracle's bit-for-bit.
+        oracle = [evaluate_point(p) for p in SweepSpec.from_dict(GRID).points]
+        assert {r["hash"]: r for r in records} == {r["hash"]: r for r in oracle}
+
+    def test_retired_engine_keys_are_ignored(self, client):
+        # Older clients may still send a pool size and a scalar switch;
+        # records are the same on every path, so both keys are ignored.
+        job = client._json(
+            "/sweep", {"spec": GRID, "workers": 0, "vectorize": False}
+        )
+        records = list(client.stream_job(job["job"]))
+        assert client.last_summary["evaluated"] == 2
+        assert len(records) == 2
 
 
 class TestRecordsEndpoints:

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.dse import clear_memo
+from repro.cli import _dse_spec, build_parser, main
+from repro.dse import clear_memo, engine, evaluate_point
 
 
 def run(capsys, *argv):
@@ -113,16 +113,19 @@ class TestDseCommand:
         assert records[0]["workload"] == "LSTM"
         assert "total_seconds" in records[0]["metrics"]
 
-    def test_no_vectorize_bit_identical(self, capsys):
+    def test_records_match_scalar_oracle(self, capsys):
         argv = (
             "dse", "--workload", "LSTM", "--workload", "AlexNet",
             "--policy", "paper-heterogeneous", "--format", "jsonl",
         )
         clear_memo()
         vectorized = run(capsys, *argv)
-        clear_memo()
-        scalar = run(capsys, *argv, "--no-vectorize")
-        assert scalar == vectorized
+        spec = _dse_spec(build_parser().parse_args(argv))
+        scalar = "".join(
+            json.dumps(evaluate_point(point), sort_keys=True) + "\n"
+            for point in spec.points
+        )
+        assert vectorized == scalar
 
     def test_store_warm_rerun(self, capsys, tmp_path):
         store = tmp_path / "results.jsonl"
@@ -368,11 +371,18 @@ class TestQuantDseCommand:
                 for b in records
             )
 
-    def test_vectorized_matches_scalar_byte_identical(self, capsys):
+    def test_vectorized_matches_scalar_byte_identical(self, capsys, monkeypatch):
         clear_memo()
         vectorized = run(capsys, *self._ARGS, "--format", "jsonl")
         clear_memo()
-        scalar = run(capsys, *self._ARGS, "--format", "jsonl", "--no-vectorize")
+        # Same command with the engine's chunk evaluator swapped for
+        # the scalar oracle, point by point.
+        monkeypatch.setattr(
+            engine,
+            "evaluate_points",
+            lambda points: [evaluate_point(point) for point in points],
+        )
+        scalar = run(capsys, *self._ARGS, "--format", "jsonl")
         assert scalar == vectorized
 
     def test_table_output_marks_frontier(self, capsys):
