@@ -23,7 +23,6 @@ Examples
     python -m repro worker --server http://127.0.0.1:8000 --name box-a
     python -m repro watch http://127.0.0.1:8000 --interval 2
     python -m repro dse-launch --workload LSTM --shards 4 --store merged.jsonl
-    python -m repro dse-launch --workload LSTM --fleet 4 --store merged.sqlite
     python -m repro chips
 """
 
@@ -58,7 +57,6 @@ from .serve import (
     ServeError,
     default_journal_path,
     launch,
-    launch_fleet,
     render_commands,
     serve,
     shard_commands,
@@ -621,23 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of terminating them promptly (partial shard stores "
         "are kept either way)",
     )
-    dse_launch.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="spawn N pull-based fleet workers against an ephemeral "
-        "in-process server instead of a fixed shard plan "
-        "(work-stealing; a dead worker's leases requeue; needs a "
-        "SQLite --store)",
-    )
-    dse_launch.add_argument(
-        "--chunks",
-        type=int,
-        default=None,
-        metavar="M",
-        help="with --fleet: lease-queue chunk count (default 4x workers)",
-    )
     return parser
 
 
@@ -1132,23 +1113,6 @@ def _run_dse_launch(args) -> None:
         spec = _dse_spec(args)
         if len(spec) == 0:
             raise ValueError("the sweep has no points")
-        if args.fleet is not None:
-            if args.print_cmds or args.post:
-                raise ValueError(
-                    "--fleet is incompatible with --print-cmds/--post "
-                    "(fleet workers pull from an embedded server)"
-                )
-            result = launch_fleet(
-                spec,
-                args.fleet,
-                args.store,
-                backend=args.backend,
-                chunks=args.chunks,
-            )
-            print(f"dse-launch: {result.summary()}")
-            return
-        if args.chunks is not None:
-            raise ValueError("--chunks requires --fleet")
         if args.shards < 1:
             raise ValueError("shard count must be >= 1")
         dest = Path(args.store)

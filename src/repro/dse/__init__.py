@@ -37,12 +37,11 @@ Every figure driver (:mod:`repro.experiments.figures`), the scaling
 study, and the ``repro dse`` CLI subcommand run on this engine.
 """
 
-from .engine import DSEEngine, SweepRecord, SweepResult, iter_sweep, run_sweep
+from .engine import SweepRecord, SweepResult, iter_sweep, run_sweep
 from .evaluate import (
     EVAL_VERSION,
     clear_caches,
     clear_memo,
-    evaluate_cached,
     evaluate_point,
     evaluate_points,
     lowered_for,
@@ -88,7 +87,6 @@ from .sqlite_store import SQLiteStore
 from .store import ResultStore, ResultStoreBase, StoreWarning, open_store
 
 __all__ = [
-    "DSEEngine",
     "SweepRecord",
     "SweepResult",
     "iter_sweep",
@@ -96,7 +94,6 @@ __all__ = [
     "EVAL_VERSION",
     "clear_caches",
     "clear_memo",
-    "evaluate_cached",
     "evaluate_point",
     "evaluate_points",
     "lowered_for",

@@ -30,7 +30,7 @@ from .evaluate import _MEMO, EVAL_VERSION, evaluate_points
 from .spec import SweepPoint, SweepSpec
 from .store import ResultStoreBase, open_store
 
-__all__ = ["SweepRecord", "SweepResult", "DSEEngine", "iter_sweep", "run_sweep"]
+__all__ = ["SweepRecord", "SweepResult", "iter_sweep", "run_sweep"]
 
 # Tier counts are accumulated in plain locals on the hot path and
 # flushed to the registry once per iter_sweep call (its finally), so
@@ -234,19 +234,3 @@ def run_sweep(
         from_store=counts["store"],
         from_memo=counts["memo"],
     )
-
-
-@dataclass
-class DSEEngine:
-    """Reusable engine configuration: store + group-commit chunk size."""
-
-    store: ResultStoreBase | str | os.PathLike | None = None
-    chunk_size: int = 32
-
-    def run(self, sweep: SweepSpec | Iterable[SweepPoint]) -> SweepResult:
-        return run_sweep(sweep, store=self.store, chunk_size=self.chunk_size)
-
-    def iter_sweep(
-        self, sweep: SweepSpec | Iterable[SweepPoint]
-    ) -> Iterator[SweepRecord]:
-        return iter_sweep(sweep, store=self.store, chunk_size=self.chunk_size)

@@ -39,7 +39,6 @@ __all__ = [
     "EVAL_VERSION",
     "evaluate_point",
     "evaluate_points",
-    "evaluate_cached",
     "clear_memo",
     "clear_caches",
     "lowered_for",
@@ -197,13 +196,3 @@ def evaluate_points(points: Sequence[SweepPoint]) -> list[dict]:
         for i, point_metrics in zip(indices, metrics):
             records[i] = _record(points[i], point_metrics)
     return records  # type: ignore[return-value]
-
-
-def evaluate_cached(point: SweepPoint) -> dict:
-    """Evaluate through the per-process memo."""
-    key = point.config_hash()
-    record = _MEMO.get(key)
-    if record is None:
-        record = evaluate_point(point)
-        _MEMO[key] = record
-    return record

@@ -24,9 +24,8 @@ rankings to many clients, plus the shard orchestration that feeds it.
   local run), with bounded-backoff retries on transient failures of
   idempotent requests;
 * :mod:`~repro.serve.launch` -- ``repro dse-launch`` orchestration:
-  spawn N local shard processes or print per-machine command lines and
-  auto-merge shard stores, or ``--fleet N`` to self-host a lease queue
-  and pull workers instead of a fixed shard plan;
+  spawn N local shard processes (or print per-machine command lines)
+  and auto-merge the shard stores;
 * :mod:`~repro.serve.serializers` -- the JSON shapes shared between
   the HTTP endpoints and the CLI's ``--format json``.
 """
@@ -36,10 +35,8 @@ from .fleet import Fleet, FleetJob, FleetWorker
 from .jobs import Job, JobManager
 from .journal import JobJournal, JournalWarning, default_journal_path
 from .launch import (
-    FleetLaunchResult,
     LaunchResult,
     launch,
-    launch_fleet,
     render_commands,
     shard_commands,
     shard_store_path,
@@ -72,10 +69,8 @@ __all__ = [
     "default_journal_path",
     "DrainingError",
     "QueueFullError",
-    "FleetLaunchResult",
     "LaunchResult",
     "launch",
-    "launch_fleet",
     "render_commands",
     "shard_commands",
     "shard_store_path",

@@ -1,9 +1,9 @@
 """Elastic worker fleet: pull-based distributed sweeps with leases.
 
-``dse-launch`` used to push a fixed shard plan into local processes; a
-dead shard was simply lost until a human re-ran it.  This module
-inverts the control flow: the sweep server owns a lease table and
-*workers pull*.
+``repro dse-launch`` pushes a fixed shard plan into local processes on
+one machine; a dead shard is lost until a human re-runs it.  The fleet
+is how many machines share one sweep, and it inverts the control flow:
+a running sweep server owns a lease table and *workers pull*.
 
 Coordinator side (embedded in
 :class:`~repro.serve.server.SweepService`):
@@ -79,10 +79,6 @@ DEFAULT_HEARTBEAT_TTL = 15.0
 
 #: Default chunk count for a fleet job that did not pick one.
 DEFAULT_FLEET_CHUNKS = 16
-
-#: Records per ``POST /records`` upload from a worker -- chunk results
-#: can exceed what one request body should carry.
-INGEST_CHUNK_RECORDS = 20_000
 
 #: Consecutive unexpected heartbeat failures before a worker gives up.
 HEARTBEAT_MAX_FAILURES = 5
@@ -805,12 +801,10 @@ class FleetWorker:
         timings["worker-eval"] = time.monotonic() - eval_started
         self._eval_seconds.observe(timings["worker-eval"])
         if error is None:
-            # The client chunks oversized uploads into bounded ingest
-            # batches itself (INGEST_CHUNK_RECORDS per request).
+            # The client splits oversized uploads into bounded ingest
+            # batches itself.
             upload_started = time.monotonic()
-            self.client.post_records(
-                result.records, batch_size=INGEST_CHUNK_RECORDS
-            )
+            self.client.post_records(result.records)
             timings["upload"] = time.monotonic() - upload_started
             self._upload_seconds.observe(timings["upload"])
         try:

@@ -11,11 +11,9 @@ records to a running sweep server
 store, so a crashed shard keeps its partials and a re-launch resumes
 warm.
 
-``repro dse-launch --fleet N`` replaces the fixed shard plan with the
-elastic pull model (:func:`launch_fleet`): an ephemeral in-process
-sweep server chunks the spec into a lease queue and N local ``repro
-worker`` processes pull, evaluate, ingest, and ack -- a dead worker's
-leases expire and requeue instead of losing a shard.
+This is the one local launcher.  Sweeps shared by remote machines go
+through a running server's elastic fleet instead (``repro dse --server
+URL --fleet`` plus ``repro worker``, :mod:`repro.serve.fleet`).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import os
 import shlex
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,19 +29,11 @@ from pathlib import Path
 from ..dse.store import ResultStoreBase, open_store
 
 __all__ = [
-    "FleetLaunchResult",
     "LaunchResult",
     "launch",
-    "launch_fleet",
     "shard_commands",
     "shard_store_path",
 ]
-
-#: Records per /records upload request when posting a merged store to a
-#: server -- keeps each body far under the server's request-size cap no
-#: matter how large the merge is.
-POST_CHUNK_RECORDS = 20_000
-
 
 def shard_store_path(dest: str | os.PathLike, index: int) -> Path:
     """Where shard ``index``'s private store lives, next to the dest store."""
@@ -244,15 +233,11 @@ def launch(
     if post:
         from .client import ServeClient
 
-        client = ServeClient(post)
         # Only this launch's delta goes up, not everything the
-        # destination store accumulated over earlier runs -- chunked,
-        # so one giant delta never exceeds the server's body cap.
-        records = list(delta.values())
-        posted = 0
-        for start in range(0, len(records), POST_CHUNK_RECORDS):
-            chunk = records[start : start + POST_CHUNK_RECORDS]
-            posted += client.post_records(chunk)["appended"]
+        # destination store accumulated over earlier runs;
+        # ``post_records`` splits it into requests under the server's
+        # body cap.
+        posted = ServeClient(post).post_records(list(delta.values()))["appended"]
 
     if not keep_shards:
         for path in shard_paths:
@@ -264,150 +249,4 @@ def launch(
         store_path=dest.path,
         shard_paths=shard_paths,
         posted=posted,
-    )
-
-
-@dataclass
-class FleetLaunchResult:
-    """What one self-hosted fleet launch produced."""
-
-    workers: int
-    points: int
-    chunks: dict  # the fleet job's final chunk counts
-    requeued: int
-    store_path: Path
-    job: str
-
-    def summary(self) -> str:
-        text = (
-            f"{self.points} points over {self.chunks.get('total', 0)} chunks "
-            f"pulled by {self.workers} workers -> {self.store_path}"
-        )
-        if self.requeued:
-            text += f" ({self.requeued} leases requeued)"
-        return text
-
-
-def _worker_argv(url: str, poll: float) -> list[str]:
-    return [
-        sys.executable,
-        "-m",
-        "repro",
-        "worker",
-        "--server",
-        url,
-        "--exit-when-drained",
-        "--poll",
-        str(poll),
-    ]
-
-
-def launch_fleet(
-    spec,
-    workers: int,
-    store: "ResultStoreBase | str | os.PathLike",
-    backend: str | None = None,
-    chunks: int | None = None,
-    lease_ttl: float | None = None,
-    heartbeat_ttl: float | None = None,
-    poll: float = 0.2,
-    timeout: float | None = None,
-) -> FleetLaunchResult:
-    """Run one sweep as an elastic worker fleet, self-hosting the server.
-
-    The pull-based counterpart to :func:`launch`: instead of a fixed
-    shard plan, an ephemeral in-process sweep server over ``store``
-    (SQLite, like every served store; any other backend raises
-    ``ValueError``) takes the spec as a fleet job split into ``chunks``
-    hash-range chunks (default ``4 * workers``, so work-stealing has
-    slack), and ``workers`` local ``repro worker`` processes lease,
-    evaluate, ingest, and ack until the job drains.  A worker that dies
-    mid-chunk costs one lease TTL -- survivors steal the requeued
-    chunk.  Raises ``RuntimeError`` if the job fails, times out, or
-    every worker exits while chunks remain.
-    """
-    from .client import ServeClient
-    from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
-    from .server import SweepServer, SweepService
-
-    if workers < 1:
-        raise ValueError("fleet worker count must be >= 1")
-    if len(spec) == 0:
-        raise ValueError("the sweep has no points")
-    if chunks is None:
-        chunks = max(1, min(len(spec), 4 * workers))
-    service = SweepService(
-        store=open_store(store, backend=backend),
-        lease_ttl=lease_ttl or DEFAULT_LEASE_TTL,
-        heartbeat_ttl=heartbeat_ttl or DEFAULT_HEARTBEAT_TTL,
-    )
-    server = SweepServer(service, port=0)
-    server_thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.05),
-        name="fleet-launch-server",
-        daemon=True,
-    )
-    server_thread.start()
-    env = _subprocess_env()
-    processes: list[subprocess.Popen] = []
-    try:
-        client = ServeClient(server.url)
-        job_id = client.submit_job(spec.to_dict(), fleet={"chunks": chunks})[
-            "job"
-        ]
-        argv = _worker_argv(server.url, poll)
-        processes = [
-            subprocess.Popen(
-                argv,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                env=env,
-            )
-            for _ in range(workers)
-        ]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            status = client.job_status(job_id)
-            if status["state"] not in ("queued", "running"):
-                break
-            if all(process.poll() is not None for process in processes):
-                raise RuntimeError(
-                    "every fleet worker exited with the job unfinished"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"fleet sweep timed out after {timeout} seconds"
-                )
-            time.sleep(0.05)
-        if status["state"] != "done":
-            raise RuntimeError(
-                f"fleet job {job_id} {status['state']}"
-                + (f": {status['error']}" if status.get("error") else "")
-            )
-        # Drain the workers gracefully: the job is terminal, so their
-        # next lease reports zero active jobs and they exit themselves.
-        for process in processes:
-            try:
-                process.communicate(timeout=30)
-            except subprocess.TimeoutExpired:  # pragma: no cover - wedged
-                process.kill()
-                process.communicate()
-        progress = status["progress"]
-    finally:
-        for process in processes:
-            if process.returncode is None and process.poll() is None:
-                process.kill()
-                process.communicate()
-        server.shutdown()
-        server.server_close()
-        service.close()
-        server_thread.join(timeout=5)
-    chunk_counts = progress.get("chunks", {})
-    return FleetLaunchResult(
-        workers=workers,
-        points=progress.get("points", 0),
-        chunks=chunk_counts,
-        requeued=chunk_counts.get("requeues", 0),
-        store_path=service.store.path,
-        job=job_id,
     )

@@ -1470,8 +1470,8 @@ def serve(
     previous_sigterm = None
     in_main_thread = threading.current_thread() is threading.main_thread()
     if in_main_thread:
-        # Only the main thread may install signal handlers; embedded
-        # servers (tests, dse-launch --fleet) skip this quietly.
+        # Only the main thread may install signal handlers; a server
+        # embedded in another thread (as tests run it) skips this quietly.
         previous_sigterm = signal.signal(signal.SIGTERM, _handle_sigterm)
     if ready is not None:
         ready(server)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.dse import (
     EVAL_VERSION,
-    DSEEngine,
     ResultStore,
     SweepPoint,
     SweepSpec,
@@ -240,29 +239,6 @@ class TestShardedRuns:
         warm = run_sweep(spec, store=merged)
         assert (warm.evaluated, warm.from_store) == (0, len(spec))
         assert warm.records == full.records
-
-
-class TestDSEEngine:
-    def test_engine_wraps_run_sweep(self, tmp_path):
-        engine = DSEEngine(store=tmp_path / "s.jsonl")
-        spec = SweepSpec.grid(
-            workloads=("LSTM",), platforms=("bpvec",), memories=("ddr4",)
-        )
-        cold = engine.run(spec)
-        clear_memo()
-        warm = engine.run(spec)
-        assert cold.evaluated == 1
-        assert warm.from_store == 1
-        assert warm.records == cold.records
-
-    def test_engine_iter_sweep_streams_with_store(self, tmp_path):
-        engine = DSEEngine(store=tmp_path / "s.jsonl")
-        streamed = list(engine.iter_sweep(_points("LSTM", "RNN")))
-        assert [sr.source for sr in streamed] == ["evaluated", "evaluated"]
-        clear_memo()
-        warm = list(engine.iter_sweep(_points("LSTM", "RNN")))
-        assert [sr.source for sr in warm] == ["store", "store"]
-        assert [sr.record for sr in warm] == [sr.record for sr in streamed]
 
 
 class TestVectorizedEvaluation:

@@ -18,14 +18,25 @@ pick up from their cursor.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import ResultStore, SweepSpec, clear_memo, run_sweep
+import repro
+from repro.dse import (
+    ResultStore,
+    SweepSpec,
+    clear_memo,
+    evaluate_point,
+    run_sweep,
+)
 from repro.serve import (
     Fleet,
     FleetJob,
@@ -506,6 +517,38 @@ class TestFleetEndToEnd:
         worker = FleetWorker(url, poll=0.01, client=client, log=_silent)
         assert worker.run() == 1
 
+    def test_worker_process_drains_a_job_and_exits_0(self, client, live_server):
+        # The real ``repro worker`` entry point: argv parsing, the
+        # worker loop and the process exit code, in a child process.
+        job = client.submit_job(WIDE_GRID, fleet={"chunks": 2})
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        worker = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "worker",
+                "--server",
+                live_server.url,
+                "--exit-when-drained",
+                "--poll",
+                "0.05",
+            ],
+            env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert worker.returncode == 0, worker.stderr
+        assert client.job_status(job["job"])["state"] == "done"
+
+        stored = live_server.service.store.load()
+        points = _spec(WIDE_GRID).points
+        assert len(stored) == len(points)
+        got = [json.dumps(stored[p.config_hash()], sort_keys=True) for p in points]
+        want = [json.dumps(evaluate_point(p), sort_keys=True) for p in points]
+        assert got == want
+
     def test_worker_gives_up_on_persistent_server_errors(self, live_server):
         worker = FleetWorker(live_server.url, poll=0.01, log=_silent)
 
@@ -790,18 +833,21 @@ class TestCliValidation:
         with pytest.raises(SystemExit, match="mutually exclusive"):
             main([*base, "--shard", "0/2"])
 
-    def test_launch_chunks_requires_fleet(self, tmp_path):
+    def test_launch_has_no_fleet_flags(self, tmp_path, capsys):
+        # dse-launch only runs local shard processes; a fleet sweep is
+        # ``repro dse --server URL --fleet [--chunks M]``.
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--chunks"):
-            main(
-                [
-                    "dse-launch",
-                    "--workload",
-                    "RNN",
-                    "--store",
-                    str(tmp_path / "s.jsonl"),
-                    "--chunks",
-                    "4",
-                ]
-            )
+        base = [
+            "dse-launch",
+            "--workload",
+            "RNN",
+            "--store",
+            str(tmp_path / "s.jsonl"),
+        ]
+        for flag in (["--fleet", "2"], ["--chunks", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*base, *flag])
+            assert exc.value.code == 2
+            error = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in error

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.dse import SweepSpec, clear_memo, open_store, run_sweep
 from repro.serve import (
     LaunchResult,
+    ServeClient,
     SweepServer,
     SweepService,
     launch,
@@ -92,15 +93,16 @@ class TestLaunch:
     def test_post_uploads_merged_records_to_a_server(
         self, tmp_path, monkeypatch
     ):
-        import importlib
-
-        # The package re-exports launch() under the module's own name,
-        # so reach the module itself through importlib.
-        launch_module = importlib.import_module("repro.serve.launch")
-
-        # A tiny chunk size forces the multi-request upload path a
+        # A tiny batch size forces the multi-request upload path a
         # giant merged store would take against the server's body cap.
-        monkeypatch.setattr(launch_module, "POST_CHUNK_RECORDS", 3)
+        post_records = ServeClient.post_records
+        replies = []
+
+        def post_in_threes(client, records):
+            replies.append(post_records(client, records, batch_size=3))
+            return replies[-1]
+
+        monkeypatch.setattr(ServeClient, "post_records", post_in_threes)
         server = SweepServer(SweepService(store=tmp_path / "served.sqlite"))
         thread = threading.Thread(
             target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
@@ -114,64 +116,14 @@ class TestLaunch:
             dest.append([{"hash": "old" * 16, "version": 1, "metrics": {}}])
             result = launch(spec_path, 2, dest, post=server.url)
             assert result.merged_records == len(spec) + 1
-            assert result.posted == len(spec)  # 4 records -> 2 requests
+            assert result.posted == len(spec)
+            # One upload call, split into 2 requests (4 records, 3 each).
+            assert [len(reply["jobs"]) for reply in replies] == [2]
             assert len(server.service.store) == len(spec)
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-
-
-class TestLaunchFleet:
-    def test_fleet_launch_matches_local_run(self, tmp_path):
-        from repro.serve import launch_fleet
-
-        spec, _ = _write_spec(tmp_path)
-        local = run_sweep(spec)
-        clear_memo()  # worker subprocesses recompute from scratch anyway
-
-        dest = tmp_path / "fleet.sqlite"
-        result = launch_fleet(spec, workers=2, store=dest, timeout=120)
-        assert result.points == len(spec)
-        assert result.chunks["completed"] == result.chunks["total"]
-        assert result.store_path == dest
-        assert "pulled by 2 workers" in result.summary()
-
-        merged = open_store(dest)
-        by_hash = {r["hash"]: r for r in merged.load().values()}
-        assert [by_hash[p.config_hash()] for p in spec.points] == local.records
-
-    def test_fleet_launch_validation(self, tmp_path):
-        from repro.serve import launch_fleet
-
-        spec, _ = _write_spec(tmp_path)
-        with pytest.raises(ValueError, match="worker count"):
-            launch_fleet(spec, workers=0, store=tmp_path / "f.sqlite")
-        with pytest.raises(ValueError, match="no points"):
-            launch_fleet(
-                SweepSpec(points=()), workers=1, store=tmp_path / "f.sqlite"
-            )
-
-    def test_fleet_launch_rejects_a_jsonl_store(self, tmp_path):
-        from repro.serve import launch_fleet
-
-        spec, _ = _write_spec(tmp_path)
-        before = sorted(tmp_path.iterdir())
-        with pytest.raises(ValueError, match="needs a SQLite store") as info:
-            launch_fleet(spec, workers=1, store=tmp_path / "f.jsonl")
-        assert f"repro dse-merge new.sqlite {tmp_path / 'f.jsonl'}" in str(
-            info.value
-        )
-        assert sorted(tmp_path.iterdir()) == before  # nothing left behind
-
-    def test_fleet_launch_timeout_raises(self, tmp_path):
-        from repro.serve import launch_fleet
-
-        spec, _ = _write_spec(tmp_path)
-        with pytest.raises(RuntimeError, match="timed out"):
-            launch_fleet(
-                spec, workers=1, store=tmp_path / "f.sqlite", timeout=0.01
-            )
 
 
 class TestCliLaunch:
@@ -233,40 +185,6 @@ class TestCliLaunch:
             str(dest),
         )
         assert "0 evaluated" in warm and "2 store hits" in warm
-
-    def test_cli_fleet_launch_warms_a_store(self, capsys, tmp_path):
-        dest = tmp_path / "fleet.sqlite"
-        out = self._run(
-            capsys,
-            "dse-launch",
-            "--workload",
-            "RNN",
-            "--platform",
-            "bpvec",
-            "--fleet",
-            "1",
-            "--chunks",
-            "2",
-            "--store",
-            str(dest),
-        )
-        assert "pulled by 1 workers" in out
-        assert len(open_store(dest)) == 2
-
-    def test_cli_fleet_rejects_print_cmds(self, tmp_path):
-        with pytest.raises(SystemExit, match="incompatible"):
-            main(
-                [
-                    "dse-launch",
-                    "--workload",
-                    "RNN",
-                    "--fleet",
-                    "1",
-                    "--store",
-                    str(tmp_path / "f.sqlite"),
-                    "--print-cmds",
-                ]
-            )
 
     def test_print_cmds_rejects_zero_shards(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
